@@ -637,6 +637,66 @@ func BenchmarkSimulatorRSNL_1024(b *testing.B) {
 	}
 }
 
+// benchSimulatorTorus runs an RS_N schedule under S2 on a side x side
+// torus at d=8 with 4096-byte messages. S2 fires every phase's sends
+// without waiting for the receiver, so thousands of circuits contend
+// for channels and receivers at once: the benchmark measures the
+// simulator's wake-up path under the heaviest blocking the service
+// accepts. With reuse, one warmed Machine runs every op; without, each
+// op builds a fresh Machine over the shared route table.
+func benchSimulatorTorus(b *testing.B, side int, table func(topo.Topology) *topo.RouteTable, reuse bool) {
+	net := table(mesh.MustNew(side, side, true))
+	params := costmodel.DefaultIPSC860()
+	rng := rand.New(rand.NewSource(11))
+	m, err := comm.DRegular(net.Nodes(), 8, 4096, rng)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := sched.NewCoreForTable(net).RSN(m, rng)
+	if err != nil {
+		b.Fatal(err)
+	}
+	mach, err := ipsc.NewMachine(net, params)
+	if err != nil {
+		b.Fatal(err)
+	}
+	// The warm-up grows the reused machine's arenas, so allocs/op is
+	// the steady state rather than first-run growth spread over a b.N
+	// that, at these run times, is only a handful.
+	if _, err := mach.RunS2(s); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !reuse {
+			if mach, err = ipsc.NewMachine(net, params); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if _, err := mach.RunS2(s); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSimulatorTorus_1024 is the 1024-node torus (torus:32x32)
+// on one reused Machine over a dense route table, the campaign-worker
+// configuration. Its steady state allocates nothing (pinned by
+// ipsc's TestReusedRunAllocsSteadyState).
+func BenchmarkSimulatorTorus_1024(b *testing.B) {
+	benchSimulatorTorus(b, 32, topo.NewRouteTable, true)
+}
+
+// BenchmarkSimulatorTorus_4096 is the 4096-node torus (torus:64x64)
+// over a lazy route table, as the service builds it past the dense
+// hop budget: every probe, claim and release generates its route. Each
+// op builds a fresh Machine, as the service does per request at this
+// size, so allocs/op and B/op count the machine's O(n^2) arenas.
+func BenchmarkSimulatorTorus_4096(b *testing.B) {
+	benchSimulatorTorus(b, 64, topo.NewRouteTableLazy, false)
+}
+
 // BenchmarkRouteTableBitset is the occupancy micro-benchmark under the
 // simulator: probe-claim-release of whole routes against the packed
 // []uint64 channel bitset, word-at-a-time through the table's mask

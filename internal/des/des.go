@@ -190,7 +190,11 @@ func (e *Engine) Reset() {
 	e.times = e.times[:0]
 	e.meta = e.meta[:0]
 	e.freeSlots = e.freeSlots[:0]
-	for i := range e.fifos {
+	// Free slots pop from the end, so list them high to low: a replayed
+	// run then takes the slots in the order a fresh engine creates
+	// them, and each bucket reuses the FIFO the previous run grew for
+	// it instead of one that may be too small.
+	for i := len(e.fifos) - 1; i >= 0; i-- {
 		e.fifos[i] = e.fifos[i][:0]
 		e.freeSlots = append(e.freeSlots, int32(i))
 	}

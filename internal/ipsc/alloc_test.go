@@ -13,6 +13,7 @@ import (
 	"unsched/internal/comm"
 	"unsched/internal/costmodel"
 	"unsched/internal/hypercube"
+	"unsched/internal/mesh"
 	"unsched/internal/sched"
 	"unsched/internal/topo"
 )
@@ -50,5 +51,36 @@ func TestReusedRunAllocs(t *testing.T) {
 	run() // warm the arenas
 	if got := testing.AllocsPerRun(20, run); got > allocBudgetReusedRun {
 		t.Errorf("reused RunS1: %.1f allocs/run, budget %d", got, allocBudgetReusedRun)
+	}
+}
+
+// TestReusedRunAllocsSteadyState pins the Reset-reuse contract on a
+// contended run: after one run, rerunning the same S2 simulation on a
+// 1024-node torus allocates nothing — the attempt arena, watch
+// lists, woken set, program arena and event buckets all replay into
+// the storage the first run grew.
+func TestReusedRunAllocsSteadyState(t *testing.T) {
+	table := topo.NewRouteTable(mesh.MustNew(32, 32, true))
+	mat, err := comm.DRegular(1024, 8, 4096, rand.New(rand.NewSource(11)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := sched.NewCoreForTable(table).RSN(mat, rand.New(rand.NewSource(12)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mach, err := NewMachine(table, costmodel.DefaultIPSC860())
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() {
+		if _, err := mach.RunS2(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// AllocsPerRun's own warm-up is the first run, so the measured runs
+	// start with the second: the first one to replay into warm storage.
+	if got := testing.AllocsPerRun(3, run); got != 0 {
+		t.Errorf("reused RunS2: %.1f allocs/run, want 0", got)
 	}
 }

@@ -36,8 +36,14 @@
 //     inline in the engine's reusable heap array — no closure per
 //     event;
 //   - transfer attempts live in a machine-owned arena ([]attempt)
-//     addressed by index; the pending-retry queue is a slice of those
-//     indices;
+//     addressed by index, so an arena index is also the attempt's
+//     FIFO position;
+//   - a blocked attempt is parked on one busy resource that blocks it
+//     (a directed channel or a node's busy byte), in an intrusive list
+//     threaded through the arena; a release wakes only the attempts
+//     parked on what it frees, instead of re-trying every blocked
+//     attempt (see retryPending for why this matches the full FIFO
+//     re-scan exactly);
 //   - barrier arrival counts and waiter lists are flat slices indexed
 //     by barrier id (phase number), recycled across runs;
 //   - channel occupancy is a packed []uint64 bitset; when the Machine
@@ -53,6 +59,7 @@ package ipsc
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"unsched/internal/costmodel"
@@ -100,11 +107,17 @@ type Machine struct {
 	// keeping them next to the rest of the node state.
 	busy     []uint8
 	routeBuf []int
-	// attempts is the per-run arena of transfer/exchange attempts;
-	// pending queues the arena indices of attempts blocked on
-	// resources, in FIFO order.
+	// attempts is the per-run arena of transfer/exchange attempts.
 	attempts []attempt
-	pending  []int32
+	// watch[r] heads the list, linked through attempt.next, of the
+	// attempts parked on resource r: directed channel r below nch,
+	// node r-nch's busy byte from nch on. -1 ends a list. parked counts
+	// the attempts on all lists; woken collects those drained by the
+	// releases of the current event for retryPending.
+	watch  []int32
+	nch    int32
+	parked int
+	woken  []int32
 	// barrier state, indexed by barrier id (= phase number): arrival
 	// counts and blocked-node lists, grown on demand and recycled.
 	barrierCount   []int32
@@ -115,12 +128,10 @@ type Machine struct {
 	progs       [][]op
 	recvScratch []int
 	// stats
-	transfers     int
-	exchanges     int
-	waitedUS      float64 // total time attempts spent blocked on resources
-	maxEvents     int64
-	totalExpected int
-	arrivedTotal  int
+	transfers int
+	exchanges int
+	waitedUS  float64 // total time attempts spent blocked on resources
+	maxEvents int64
 }
 
 // busy byte bits: an active outgoing circuit and an active incoming
@@ -142,11 +153,10 @@ type node struct {
 	// arrived (S1). Each (sender, receiver) message is scheduled at
 	// most once, so a bool per peer suffices.
 	readyFrom []bool
-	// arrived[s] / consumed[s] count fully delivered messages from
-	// source s; opWaitRecv consumes them. int32 halves the O(n^2)
-	// footprint, which is what keeps a 4096-node machine buildable.
-	arrived  []int32
-	consumed []int32
+	// unread[s] counts messages from source s that have fully arrived
+	// but not yet been consumed by an opWaitRecv. int32 keeps the
+	// O(n^2) footprint at 64 MiB on a 4096-node machine.
+	unread   []int32
 	received int // total messages absorbed (for opWaitAll)
 	expected int
 	done     bool
@@ -158,14 +168,15 @@ type node struct {
 	outstanding int
 }
 
-// attempt is a transfer or exchange blocked on resources, queued for
-// deterministic retry when circuits free up. Attempts live in the
-// Machine's arena and are addressed by index — in the pending queue
-// and in the completion events that reference them.
+// attempt is a transfer or exchange, parked on a busy resource while
+// it is blocked and retried when that resource is released. Attempts
+// live in the Machine's arena and are addressed by index — in the
+// watch lists and in the completion events that reference them.
 type attempt struct {
 	exchange bool
 	async    bool  // opSendAsync: completion decrements outstanding instead of advancing pc
 	src, dst int32 // for exchange: src < dst pair
+	next     int32 // next attempt parked on the same resource, or -1
 	bytes    int64
 	backSize int64 // exchange reverse direction
 	queuedAt float64
@@ -193,34 +204,43 @@ func NewMachine(net topo.Topology, params costmodel.Params) (*Machine, error) {
 		return nil, err
 	}
 	n := net.Nodes()
+	nch := net.NumChannels()
 	m := &Machine{
 		net:       net,
 		params:    params,
 		eng:       des.New(),
-		chanBusy:  make([]uint64, topo.BitsetWords(net.NumChannels())),
+		chanBusy:  make([]uint64, topo.BitsetWords(nch)),
+		watch:     make([]int32, nch+n),
+		nch:       int32(nch),
 		maxEvents: int64(n) * 1_000_000,
 	}
+	clearWatch(m.watch)
 	if rt, ok := net.(*topo.RouteTable); ok && !rt.Lazy() {
 		m.routes = rt
 	}
 	m.eng.SetHandler(m.handle)
-	// Per-node state is carved out of four contiguous allocations so a
+	// Per-node state is carved out of three contiguous allocations so a
 	// Machine costs O(1) allocations per node instead of O(n), and so
 	// Reset can clear it without freeing anything. The campaign runner
 	// keeps one Machine per worker and reuses it for every run.
 	m.nodes = make([]node, n)
 	m.busy = make([]uint8, n)
 	ready := make([]bool, n*n)
-	arrived := make([]int32, n*n)
-	consumed := make([]int32, n*n)
+	unread := make([]int32, n*n)
 	for i := range m.nodes {
 		nd := &m.nodes[i]
 		nd.id = i
 		nd.readyFrom = ready[i*n : (i+1)*n : (i+1)*n]
-		nd.arrived = arrived[i*n : (i+1)*n : (i+1)*n]
-		nd.consumed = consumed[i*n : (i+1)*n : (i+1)*n]
+		nd.unread = unread[i*n : (i+1)*n : (i+1)*n]
 	}
 	return m, nil
+}
+
+// clearWatch empties every watch list.
+func clearWatch(watch []int32) {
+	for i := range watch {
+		watch[i] = -1
+	}
 }
 
 // SetMaxEvents overrides the simulated-event bound (default
@@ -234,16 +254,18 @@ func (m *Machine) SetMaxEvents(v int64) {
 
 // Reset returns the machine to its initial state while keeping every
 // backing allocation: the event heap, the channel-occupancy bitset,
-// the route buffer, the attempt and barrier arenas, and all per-node
-// vectors. After Reset the machine is indistinguishable from a freshly
-// built one, so a single Machine can drive an arbitrarily long
-// sequence of runs allocation-free.
+// the route buffer, the attempt arena and its watch lists, the barrier
+// arenas, and all per-node vectors. After Reset the machine is
+// indistinguishable from a freshly built one, so a single Machine can
+// drive an arbitrarily long sequence of runs allocation-free.
 func (m *Machine) Reset() {
 	m.eng.Reset()
 	clear(m.chanBusy)
 	m.routeBuf = m.routeBuf[:0]
 	m.attempts = m.attempts[:0]
-	m.pending = m.pending[:0]
+	clearWatch(m.watch)
+	m.parked = 0
+	m.woken = m.woken[:0]
 	for i := range m.barrierCount {
 		m.barrierCount[i] = 0
 		m.barrierWaiters[i] = m.barrierWaiters[i][:0]
@@ -252,16 +274,13 @@ func (m *Machine) Reset() {
 	m.transfers = 0
 	m.exchanges = 0
 	m.waitedUS = 0
-	m.totalExpected = 0
-	m.arrivedTotal = 0
 	for i := range m.nodes {
 		nd := &m.nodes[i]
 		nd.program = nil
 		nd.pc = 0
 		nd.blocked = false
 		clear(nd.readyFrom)
-		clear(nd.arrived)
-		clear(nd.consumed)
+		clear(nd.unread)
 		nd.received = 0
 		nd.expected = 0
 		nd.done = false
@@ -273,32 +292,8 @@ func (m *Machine) Reset() {
 
 // run loads the per-node programs and processes events to completion.
 func (m *Machine) run(programs [][]op) (Result, error) {
-	if len(programs) != len(m.nodes) {
-		return Result{}, fmt.Errorf("ipsc: %d programs for %d nodes", len(programs), len(m.nodes))
-	}
-	// One pass over all programs tallies the expected arrivals of every
-	// node at once; the per-node scan this replaces cost O(n · totalOps)
-	// and dominated short-run setup.
-	for src, prog := range programs {
-		for _, o := range prog {
-			switch o.kind {
-			case opSendReady, opSendFire, opSendAsync:
-				m.nodes[o.peer].expected++
-			case opExchange:
-				// Each endpoint's opExchange carries its outgoing
-				// bytes; tally the halves directed at the peer.
-				if o.bytes > 0 && int(o.peer) != src {
-					m.nodes[o.peer].expected++
-				}
-			}
-		}
-	}
-	for i := range m.nodes {
-		m.nodes[i].program = programs[i]
-		m.totalExpected += m.nodes[i].expected
-	}
-	for i := range m.nodes {
-		m.eng.AtEvent(0, evAdvance, int32(i), 0)
+	if err := m.load(programs); err != nil {
+		return Result{}, err
 	}
 	if _, err := m.eng.Run(m.maxEvents); err != nil {
 		return Result{}, fmt.Errorf("ipsc: %w", err)
@@ -322,6 +317,38 @@ func (m *Machine) run(programs [][]op) (Result, error) {
 	}, nil
 }
 
+// load installs the per-node programs, tallies the arrivals each node
+// expects, and schedules every node's first advance at time 0.
+func (m *Machine) load(programs [][]op) error {
+	if len(programs) != len(m.nodes) {
+		return fmt.Errorf("ipsc: %d programs for %d nodes", len(programs), len(m.nodes))
+	}
+	// One pass over all programs tallies the expected arrivals of every
+	// node at once; the per-node scan this replaces cost O(n · totalOps)
+	// and dominated short-run setup.
+	for src, prog := range programs {
+		for _, o := range prog {
+			switch o.kind {
+			case opSendReady, opSendFire, opSendAsync:
+				m.nodes[o.peer].expected++
+			case opExchange:
+				// Each endpoint's opExchange carries its outgoing
+				// bytes; tally the halves directed at the peer.
+				if o.bytes > 0 && int(o.peer) != src {
+					m.nodes[o.peer].expected++
+				}
+			}
+		}
+	}
+	for i := range m.nodes {
+		m.nodes[i].program = programs[i]
+	}
+	for i := range m.nodes {
+		m.eng.AtEvent(0, evAdvance, int32(i), 0)
+	}
+	return nil
+}
+
 func (m *Machine) deadlockError() error {
 	var stuck []string
 	for i := range m.nodes {
@@ -337,6 +364,13 @@ func (m *Machine) deadlockError() error {
 				break
 			}
 		}
+	}
+	// A circuit always has its completion event queued, so a run that
+	// drains its events leaves no attempt parked unless a release
+	// failed to wake it; name any such attempt.
+	if m.parked > 0 {
+		return fmt.Errorf("ipsc: simulation deadlocked at t=%.1fµs: %v; %d attempts parked: %v",
+			m.eng.Now(), stuck, m.parked, m.pendingSummary())
 	}
 	return fmt.Errorf("ipsc: simulation deadlocked at t=%.1fµs: %v", m.eng.Now(), stuck)
 }
@@ -456,8 +490,8 @@ func (m *Machine) advance(nd *node) {
 			return
 
 		case opWaitRecv:
-			if nd.arrived[o.peer] > nd.consumed[o.peer] {
-				nd.consumed[o.peer]++
+			if nd.unread[o.peer] > 0 {
+				nd.unread[o.peer]--
 				nd.pc++
 				continue
 			}
@@ -534,64 +568,131 @@ func (m *Machine) addAttempt(a attempt) int32 {
 }
 
 // tryOrQueue starts the attempt if its resources are free, otherwise
-// queues it for retry on the next release.
+// parks it on a resource that blocks it.
 func (m *Machine) tryOrQueue(ai int32) {
-	if m.tryStart(ai) {
-		return
+	if r := m.tryStart(ai); r >= 0 {
+		m.park(ai, r)
 	}
-	m.pending = append(m.pending, ai)
 }
 
-// retryPending re-attempts queued transfers in FIFO order. Called
-// whenever resources are released.
+// park links attempt ai into the watch list of resource r.
+func (m *Machine) park(ai, r int32) {
+	m.attempts[ai].next = m.watch[r]
+	m.watch[r] = ai
+	m.parked++
+}
+
+// wake empties the watch list of resource r into the woken set.
+func (m *Machine) wake(r int32) {
+	for ai := m.watch[r]; ai >= 0; ai = m.attempts[ai].next {
+		m.woken = append(m.woken, ai)
+		m.parked--
+	}
+	m.watch[r] = -1
+}
+
+// retryPending re-tries the attempts woken by the current event's
+// releases in FIFO order; one that fails again is parked on whatever
+// blocks it now. Every event that releases resources ends by calling
+// it.
+//
+// This starts exactly the attempts that re-trying every blocked
+// attempt in FIFO order would start, in the same order:
+//
+//  1. Between two releases, resources are only ever claimed: only the
+//     finish handlers release, and each ends with this call.
+//  2. A parked attempt can start only when all of its resources are
+//     free.
+//  3. So the resource it is parked on, busy when it was parked, stays
+//     busy until that resource is released — which wakes it. (A node
+//     counts as released when any bit of its busy byte clears.)
+//  4. Therefore every attempt the full pass would re-try but this one
+//     skips is parked on a resource that is still busy, and fails in
+//     the full pass too, changing nothing.
+//  5. The woken attempts are visited in ascending arena index, which is
+//     FIFO order because every attempt is tried the moment it is
+//     created; so they meet the same claims as in the full pass, in
+//     the same relative order.
+//
+// Hence every claim, every event time and ResourceWaitUS are the same
+// as under the full pass, at the cost of only the woken re-tries.
 func (m *Machine) retryPending() {
-	if len(m.pending) == 0 {
+	if len(m.woken) == 0 {
 		return
 	}
-	remaining := m.pending[:0]
-	for _, ai := range m.pending {
-		if !m.tryStart(ai) {
-			remaining = append(remaining, ai)
+	slices.Sort(m.woken)
+	for _, ai := range m.woken {
+		if r := m.tryStart(ai); r >= 0 {
+			m.park(ai, r)
 		}
 	}
-	m.pending = remaining
+	m.woken = m.woken[:0]
 }
 
-// routeFree reports whether all channels of the deterministic route
-// are free. Over a dense route table this is a word-at-a-time mask
-// test; otherwise the route is generated and tested bit by bit.
-func (m *Machine) routeFree(src, dst int) bool {
+// busyChannel returns the first busy channel of the deterministic
+// route src->dst, or -1 if the whole route is free. Over a dense route
+// table the free test is word-at-a-time through the table's masks and
+// only a blocked route is walked hop by hop; otherwise the route is
+// generated and tested bit by bit.
+func (m *Machine) busyChannel(src, dst int) int32 {
 	if m.routes != nil {
-		return m.routes.RouteFree(m.chanBusy, src, dst)
+		if !m.routes.RouteFree(m.chanBusy, src, dst) {
+			for _, id := range m.routes.Route(src, dst) {
+				if m.chanBusy[id>>6]&(uint64(1)<<(uint(id)&63)) != 0 {
+					return id
+				}
+			}
+		}
+		return -1
 	}
 	m.routeBuf = m.net.RouteIDs(src, dst, m.routeBuf[:0])
 	for _, id := range m.routeBuf {
 		if m.chanBusy[id>>6]&(uint64(1)<<(uint(id)&63)) != 0 {
-			return false
+			return int32(id)
 		}
 	}
-	return true
+	return -1
 }
 
-func (m *Machine) setRoute(src, dst int, busy bool) {
+// claimRoute marks every channel of the route src->dst busy.
+func (m *Machine) claimRoute(src, dst int) {
 	if m.routes != nil {
-		if busy {
-			m.routes.ClaimRoute(m.chanBusy, src, dst)
-		} else {
-			m.routes.ReleaseRoute(m.chanBusy, src, dst)
+		m.routes.ClaimRoute(m.chanBusy, src, dst)
+		return
+	}
+	m.routeBuf = m.net.RouteIDs(src, dst, m.routeBuf[:0])
+	for _, id := range m.routeBuf {
+		m.chanBusy[id>>6] |= uint64(1) << (uint(id) & 63)
+	}
+}
+
+// releaseRoute frees every channel of the route src->dst and wakes the
+// attempts parked on them.
+func (m *Machine) releaseRoute(src, dst int) {
+	if m.routes != nil {
+		for _, id := range m.routes.Route(src, dst) {
+			m.releaseChannel(id)
 		}
 		return
 	}
 	m.routeBuf = m.net.RouteIDs(src, dst, m.routeBuf[:0])
-	if busy {
-		for _, id := range m.routeBuf {
-			m.chanBusy[id>>6] |= uint64(1) << (uint(id) & 63)
-		}
-	} else {
-		for _, id := range m.routeBuf {
-			m.chanBusy[id>>6] &^= uint64(1) << (uint(id) & 63)
-		}
+	for _, id := range m.routeBuf {
+		m.releaseChannel(int32(id))
 	}
+}
+
+func (m *Machine) releaseChannel(id int32) {
+	m.chanBusy[id>>6] &^= uint64(1) << (uint(id) & 63)
+	if m.watch[id] >= 0 {
+		m.wake(id)
+	}
+}
+
+// releaseNode clears bits from node v's busy byte and wakes the
+// attempts parked on the node.
+func (m *Machine) releaseNode(v int32, bits uint8) {
+	m.busy[v] &^= bits
+	m.wake(m.nch + v)
 }
 
 // hops returns the route length, bypassing the Topology interface
@@ -605,10 +706,11 @@ func (m *Machine) hops(src, dst int) int {
 	return m.net.Hops(src, dst)
 }
 
-// tryStart checks resources and, if available, claims them and
-// schedules the completion event. Returns false if the attempt must
-// wait.
-func (m *Machine) tryStart(ai int32) bool {
+// tryStart claims the attempt's resources and schedules its completion
+// event if they are all free, returning -1. Otherwise it claims
+// nothing and returns a busy resource that blocks the attempt (a
+// watch-list index), for the caller to park it on.
+func (m *Machine) tryStart(ai int32) int32 {
 	// Unlike the finish handlers, tryStart never appends to the
 	// attempt arena, so reading through the pointer is safe and skips
 	// a struct copy on every retry.
@@ -624,19 +726,19 @@ func (m *Machine) tryStart(ai int32) bool {
 	// or idle receiver absorbs fine.
 	short := a.bytes <= m.params.ShortMaxBytes
 	if !short && m.busy[a.dst] != 0 {
-		return false
+		return m.nch + a.dst
 	}
 	// A node drives at most one outgoing circuit at a time; async
 	// attempts from the same node queue behind the active one.
 	if a.async && m.busy[a.src]&busyTx != 0 {
-		return false
+		return m.nch + a.src
 	}
-	if !m.routeFree(int(a.src), int(a.dst)) {
-		return false
+	if c := m.busyChannel(int(a.src), int(a.dst)); c >= 0 {
+		return c
 	}
 	hops := m.hops(int(a.src), int(a.dst))
 	dur := m.params.TransferTime(a.bytes, hops)
-	m.setRoute(int(a.src), int(a.dst), true)
+	m.claimRoute(int(a.src), int(a.dst))
 	m.busy[a.src] |= busyTx
 	if !short {
 		m.busy[a.dst] |= busyRx
@@ -644,25 +746,24 @@ func (m *Machine) tryStart(ai int32) bool {
 	m.waitedUS += m.eng.Now() - a.queuedAt
 	m.transfers++
 	m.eng.AfterEvent(dur, evXferDone, ai, 0)
-	return true
+	return -1
 }
 
 // finishTransfer completes the unidirectional transfer attempts[ai]:
 // release the circuit, deliver the message, resume the sender (or
 // settle its async bookkeeping), wake a waiting receiver, and retry
-// the pending queue.
+// the attempts the release woke.
 func (m *Machine) finishTransfer(ai int32) {
 	a := m.attempts[ai]
 	src, dst := &m.nodes[a.src], &m.nodes[a.dst]
 	short := a.bytes <= m.params.ShortMaxBytes
-	m.setRoute(int(a.src), int(a.dst), false)
-	m.busy[a.src] &^= busyTx
+	m.releaseRoute(int(a.src), int(a.dst))
+	m.releaseNode(a.src, busyTx)
 	if !short {
-		m.busy[a.dst] &^= busyRx
+		m.releaseNode(a.dst, busyRx)
 	}
-	dst.arrived[a.src]++
+	dst.unread[a.src]++
 	dst.received++
-	m.arrivedTotal++
 	if a.async {
 		src.outstanding--
 		if src.blocked && src.pc < len(src.program) &&
@@ -684,15 +785,24 @@ func (m *Machine) finishTransfer(ai int32) {
 	m.retryPending()
 }
 
-func (m *Machine) tryStartExchange(ai int32) bool {
+// tryStartExchange is tryStart for a pairwise exchange. Blockers are
+// reported in a fixed order: src node, dst node, then the first busy
+// channel forward and in reverse.
+func (m *Machine) tryStartExchange(ai int32) int32 {
 	a := &m.attempts[ai]
 	// Both nodes are blocked at their exchange op; their engines are
 	// dedicated. Other circuits may still occupy the routes.
-	if m.busy[a.src] != 0 || m.busy[a.dst] != 0 {
-		return false
+	if m.busy[a.src] != 0 {
+		return m.nch + a.src
 	}
-	if !m.routeFree(int(a.src), int(a.dst)) || !m.routeFree(int(a.dst), int(a.src)) {
-		return false
+	if m.busy[a.dst] != 0 {
+		return m.nch + a.dst
+	}
+	if c := m.busyChannel(int(a.src), int(a.dst)); c >= 0 {
+		return c
+	}
+	if c := m.busyChannel(int(a.dst), int(a.src)); c >= 0 {
+		return c
 	}
 	hops := m.hops(int(a.src), int(a.dst))
 	fwd, rev := 0.0, 0.0
@@ -707,37 +817,35 @@ func (m *Machine) tryStartExchange(ai int32) bool {
 	// a data-less sync phase — LP walks all n-1 of them — costs the
 	// signal flight plus software overhead.
 	dur := m.params.SyncOverheadUS + m.params.SignalTime(hops) + maxf(fwd, rev)
-	m.setRoute(int(a.src), int(a.dst), true)
-	m.setRoute(int(a.dst), int(a.src), true)
+	m.claimRoute(int(a.src), int(a.dst))
+	m.claimRoute(int(a.dst), int(a.src))
 	m.busy[a.src] = busyTx | busyRx
 	m.busy[a.dst] = busyTx | busyRx
 	m.waitedUS += m.eng.Now() - a.queuedAt
 	m.exchanges++
 	m.eng.AfterEvent(dur, evExchDone, ai, 0)
-	return true
+	return -1
 }
 
 // finishExchange completes the pairwise exchange attempts[ai]: release
 // both circuits, deliver both directions, resume both partners, and
-// retry the pending queue.
+// retry the attempts the release woke.
 func (m *Machine) finishExchange(ai int32) {
 	a := m.attempts[ai]
 	lo, hi := &m.nodes[a.src], &m.nodes[a.dst]
-	m.setRoute(int(a.src), int(a.dst), false)
-	m.setRoute(int(a.dst), int(a.src), false)
-	m.busy[a.src] = 0
-	m.busy[a.dst] = 0
+	m.releaseRoute(int(a.src), int(a.dst))
+	m.releaseRoute(int(a.dst), int(a.src))
+	m.releaseNode(a.src, busyTx|busyRx)
+	m.releaseNode(a.dst, busyTx|busyRx)
 	lo.atExchange = false
 	hi.atExchange = false
 	if a.bytes > 0 {
-		hi.arrived[a.src]++
+		hi.unread[a.src]++
 		hi.received++
-		m.arrivedTotal++
 	}
 	if a.backSize > 0 {
-		lo.arrived[a.dst]++
+		lo.unread[a.dst]++
 		lo.received++
-		m.arrivedTotal++
 	}
 	lo.pc++
 	hi.pc++
@@ -753,17 +861,19 @@ func maxf(a, b float64) float64 {
 	return b
 }
 
-// pendingSummary renders the queued attempts sorted, for tests that
-// inspect blocked state.
+// pendingSummary renders the parked attempts sorted, for tests that
+// inspect blocked state and for the deadlock diagnostic.
 func (m *Machine) pendingSummary() []string {
-	out := make([]string, 0, len(m.pending))
-	for _, ai := range m.pending {
-		a := m.attempts[ai]
-		kind := "send"
-		if a.exchange {
-			kind = "xchg"
+	out := make([]string, 0, m.parked)
+	for _, head := range m.watch {
+		for ai := head; ai >= 0; ai = m.attempts[ai].next {
+			a := m.attempts[ai]
+			kind := "send"
+			if a.exchange {
+				kind = "xchg"
+			}
+			out = append(out, fmt.Sprintf("%s %d->%d", kind, a.src, a.dst))
 		}
-		out = append(out, fmt.Sprintf("%s %d->%d", kind, a.src, a.dst))
 	}
 	sort.Strings(out)
 	return out

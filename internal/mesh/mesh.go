@@ -92,19 +92,37 @@ func (m *Mesh) RouteIDs(src, dst int, buf []int) []int {
 	sx, sy := m.Coord(src)
 	dx, dy := m.Coord(dst)
 
-	x := sx
-	for x != dx {
-		step, dir := m.axisStep(x, dx, m.w)
-		buf = append(buf, m.channel(m.ID(x, sy), dir))
-		x = wrap(x+step, m.w)
+	// The direction of travel is fixed for a whole axis (the shorter
+	// way stays shorter after every step along it), and each step moves
+	// one position, so the torus wraparound is one compare per hop
+	// rather than a modulo.
+	if sx != dx {
+		step, dir := m.axisStep(sx, dx, m.w)
+		for x := sx; x != dx; x = stepWrap(x, step, m.w) {
+			buf = append(buf, m.channel(m.ID(x, sy), dir))
+		}
 	}
-	y := sy
-	for y != dy {
-		step, dir := m.axisStepY(y, dy, m.h)
-		buf = append(buf, m.channel(m.ID(dx, y), dir))
-		y = wrap(y+step, m.h)
+	if sy != dy {
+		step, dir := m.axisStepY(sy, dy, m.h)
+		for y := sy; y != dy; y = stepWrap(y, step, m.h) {
+			buf = append(buf, m.channel(m.ID(dx, y), dir))
+		}
 	}
 	return buf
+}
+
+// stepWrap moves v one position (step is +1 or -1) around a ring of
+// the given size. On a plain mesh XY routing never leaves the grid, so
+// neither wrap branch fires.
+func stepWrap(v, step, size int) int {
+	v += step
+	if v == size {
+		return 0
+	}
+	if v < 0 {
+		return size - 1
+	}
+	return v
 }
 
 // axisStep picks the direction of travel along the X axis.

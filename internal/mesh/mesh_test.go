@@ -1,6 +1,7 @@
 package mesh
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -150,4 +151,62 @@ func TestRoutePanicsOutOfRange(t *testing.T) {
 		}
 	}()
 	m.RouteIDs(0, 99, nil)
+}
+
+// routeIDsModulo is the per-hop modulo form of XY routing that
+// RouteIDs' compare-based stepping replaced: the direction is
+// re-derived and the coordinate wrapped with wrap() on every hop.
+func routeIDsModulo(m *Mesh, src, dst int, buf []int) []int {
+	sx, sy := m.Coord(src)
+	dx, dy := m.Coord(dst)
+	x := sx
+	for x != dx {
+		step, dir := m.axisStep(x, dx, m.w)
+		buf = append(buf, m.channel(m.ID(x, sy), dir))
+		x = wrap(x+step, m.w)
+	}
+	y := sy
+	for y != dy {
+		step, dir := m.axisStepY(y, dy, m.h)
+		buf = append(buf, m.channel(m.ID(dx, y), dir))
+		y = wrap(y+step, m.h)
+	}
+	return buf
+}
+
+// TestRouteIDsMatchModuloForm pins the routes produced by RouteIDs to
+// the modulo form hop for hop: exhaustively on small tori and a mesh
+// (odd and even ring sizes, so both tie-breaking cases occur), and on
+// sampled pairs of the 4096-node torus the service accepts.
+func TestRouteIDsMatchModuloForm(t *testing.T) {
+	check := func(m *Mesh, src, dst int) {
+		t.Helper()
+		got := m.RouteIDs(src, dst, nil)
+		want := routeIDsModulo(m, src, dst, nil)
+		if len(got) != len(want) {
+			t.Fatalf("%s %d->%d: route %v, modulo form %v", m.Name(), src, dst, got, want)
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%s %d->%d: route %v, modulo form %v", m.Name(), src, dst, got, want)
+			}
+		}
+	}
+	for _, m := range []*Mesh{MustNew(3, 3, true), MustNew(5, 4, true), MustNew(4, 3, false)} {
+		for src := 0; src < m.Nodes(); src++ {
+			for dst := 0; dst < m.Nodes(); dst++ {
+				check(m, src, dst)
+			}
+		}
+	}
+	big := MustNew(64, 64, true)
+	rng := rand.New(rand.NewSource(64))
+	for i := 0; i < 20000; i++ {
+		check(big, rng.Intn(big.Nodes()), rng.Intn(big.Nodes()))
+	}
+	// Every row and column offset from one corner, including the
+	// half-ring ties.
+	for dst := 0; dst < big.Nodes(); dst++ {
+		check(big, 0, dst)
+	}
 }
