@@ -15,95 +15,51 @@ import (
 // row: without the shuffle the destinations sit in ascending order and
 // the first several phases suffer node contention among processors
 // with small IDs (paper §4.2). The shuffle is what keeps the expected
-// number of collisions bounded. NewCompressed applies it; the ablation
-// benchmark disables it via NewCompressedOrdered.
+// number of collisions bounded. Load applies it given an rng; the
+// ablation benchmark passes nil to disable it.
 type Compressed struct {
 	n     int
-	width int     // d: max send degree, the row capacity
-	dest  []int   // row-major n*width; destination id or -1
-	size  []int64 // row-major n*width; message bytes, parallel to dest
-	prt   []int   // prt[i]: index of last active column in row i, -1 if empty
+	width int    // d: max send degree, the row capacity
+	slots []slot // row-major n*width; row i's live entries lead its width slots
+	prt   []int  // prt[i]: index of last active column in row i, -1 if empty
 	// partition scratch, reused across PartitionRows calls so the
 	// pairwise-locating pass of RS_NL allocates nothing when a
 	// Compressed is reused (sched.Core keeps one per core).
-	destBuf []int
-	sizeBuf []int64
+	buf []slot
 }
 
-// NewCompressed builds CCOM from COM, shuffling each row's active
-// entries with rng as the paper prescribes. rng may not be nil.
-func NewCompressed(m *Matrix, rng *rand.Rand) *Compressed {
-	c := &Compressed{}
-	c.Load(m, rng)
-	return c
-}
-
-// NewCompressedOrdered builds CCOM without the randomizing shuffle,
-// leaving each row's destinations in ascending order. It exists to
-// reproduce the paper's observation that the unshuffled form causes
-// early-phase node contention (ablation benchmark).
-func NewCompressedOrdered(m *Matrix) *Compressed {
-	c := &Compressed{}
-	c.Load(m, nil)
-	return c
+// slot is one CCOM entry: a message of the loaded matrix.
+type slot struct {
+	dest int32
+	at   int32 // the message's Matrix.Index position
+	size int64
 }
 
 // Load rebuilds the CCOM in place from m, reusing the row storage when
 // its capacity allows — the steady-state path of a reusable scheduler
-// core re-loads the same backing arrays for every request. A non-nil
-// rng shuffles each row exactly as NewCompressed does (consuming the
-// identical stream, so reuse cannot change a schedule); nil leaves
-// rows in ascending destination order.
+// core re-loads the same backing arrays for every request. Each row is
+// a copy of m's sparse row; a non-nil rng then shuffles every row in
+// turn (a fixed stream, so reuse cannot change a schedule), and nil
+// leaves rows in ascending destination order.
 func (c *Compressed) Load(m *Matrix, rng *rand.Rand) {
 	n := m.N()
-	width := 0
+	width := 1 // keep row storage non-degenerate for empty matrices
 	for i := 0; i < n; i++ {
-		if deg := m.SendDegree(i); deg > width {
-			width = deg
-		}
-	}
-	if width == 0 {
-		width = 1 // keep row storage non-degenerate for empty matrices
+		width = max(width, m.SendDegree(i))
 	}
 	c.n, c.width = n, width
-	need := n * width
-	if cap(c.dest) < need {
-		c.dest = make([]int, need)
-		c.size = make([]int64, need)
-	} else {
-		c.dest = c.dest[:need]
-		c.size = c.size[:need]
-	}
-	if cap(c.prt) < n {
-		c.prt = make([]int, n)
-	} else {
-		c.prt = c.prt[:n]
-	}
-	for i := range c.dest {
-		c.dest[i] = -1
-		c.size[i] = 0
-	}
+	c.slots = grow(c.slots, n*width)
+	c.prt = grow(c.prt, n)
 	for i := 0; i < n; i++ {
-		col := 0
-		for j := 0; j < n; j++ {
-			if b := m.At(i, j); b > 0 {
-				c.dest[i*width+col] = j
-				c.size[i*width+col] = b
-				col++
-			}
+		dst, bytes := m.Row(i)
+		row := c.slots[i*width : i*width+len(dst)]
+		for z, j := range dst {
+			row[z] = slot{dest: j, at: int32(m.start(i) + z), size: bytes[z]}
 		}
-		c.prt[i] = col - 1
-	}
-	if rng == nil {
-		return
-	}
-	for i := 0; i < n; i++ {
-		row := c.dest[i*width : i*width+c.prt[i]+1]
-		sz := c.size[i*width : i*width+c.prt[i]+1]
-		rng.Shuffle(len(row), func(a, b int) {
-			row[a], row[b] = row[b], row[a]
-			sz[a], sz[b] = sz[b], sz[a]
-		})
+		c.prt[i] = len(dst) - 1
+		if rng != nil {
+			rng.Shuffle(len(row), func(a, b int) { row[a], row[b] = row[b], row[a] })
+		}
 	}
 }
 
@@ -140,7 +96,7 @@ func (c *Compressed) At(i, z int) int {
 	if z > c.prt[i] {
 		return -1
 	}
-	return c.dest[i*c.width+z]
+	return int(c.slots[i*c.width+z].dest)
 }
 
 // SizeAt returns the message size in row i, column z.
@@ -148,7 +104,17 @@ func (c *Compressed) SizeAt(i, z int) int64 {
 	if z > c.prt[i] {
 		return 0
 	}
-	return c.size[i*c.width+z]
+	return c.slots[i*c.width+z].size
+}
+
+// Index returns the Matrix.Index position, in the loaded matrix, of
+// the message in row i, column z, or -1 if the slot is inactive — the
+// key of per-message scratch indexed by position.
+func (c *Compressed) Index(i, z int) int {
+	if z > c.prt[i] {
+		return -1
+	}
+	return int(c.slots[i*c.width+z].at)
 }
 
 // Remove deletes the entry at (i, z) exactly as the paper's inner loop
@@ -158,49 +124,39 @@ func (c *Compressed) Remove(i, z int) (dest int, bytes int64) {
 	if z > c.prt[i] || z < 0 {
 		panic(fmt.Sprintf("comm: Remove(%d,%d) beyond prt %d", i, z, c.prt[i]))
 	}
-	base := i * c.width
-	dest = c.dest[base+z]
-	bytes = c.size[base+z]
-	last := c.prt[i]
-	c.dest[base+z] = c.dest[base+last]
-	c.size[base+z] = c.size[base+last]
-	c.dest[base+last] = -1
-	c.size[base+last] = 0
+	row := c.slots[i*c.width:]
+	removed, last := row[z], c.prt[i]
+	row[z] = row[last]
 	c.prt[i] = last - 1
-	return dest, bytes
+	return int(removed.dest), removed.size
 }
 
 // PartitionRows stable-partitions the active entries of every row so
-// that entries satisfying pred(row, dest) come first, preserving the
-// relative order within each group. The RS_NL scheduler uses it to
-// move pairwise-exchange candidates to the front of each row after the
-// randomizing shuffle.
-func (c *Compressed) PartitionRows(pred func(src, dst int) bool) {
-	if cap(c.destBuf) < c.width {
-		c.destBuf = make([]int, 0, c.width)
-		c.sizeBuf = make([]int64, 0, c.width)
+// that the entries for which pred(i, z) holds come first, preserving
+// the relative order within each group. pred is asked about row i,
+// column z in the row's order before the partition, so it can read
+// the entry through At, SizeAt or Index. The RS_NL scheduler uses it
+// to move pairwise-exchange candidates to the front of each row after
+// the randomizing shuffle.
+func (c *Compressed) PartitionRows(pred func(i, z int) bool) {
+	if cap(c.buf) < c.width {
+		c.buf = make([]slot, 0, c.width)
 	}
-	destBuf := c.destBuf
-	sizeBuf := c.sizeBuf
+	buf := c.buf
 	for i := 0; i < c.n; i++ {
-		base := i * c.width
-		live := c.prt[i] + 1
-		destBuf = destBuf[:0]
-		sizeBuf = sizeBuf[:0]
-		for z := 0; z < live; z++ {
-			if pred(i, c.dest[base+z]) {
-				destBuf = append(destBuf, c.dest[base+z])
-				sizeBuf = append(sizeBuf, c.size[base+z])
+		row := c.slots[i*c.width : i*c.width+c.prt[i]+1]
+		buf = buf[:0]
+		for z, e := range row {
+			if pred(i, z) {
+				buf = append(buf, e)
 			}
 		}
-		for z := 0; z < live; z++ {
-			if !pred(i, c.dest[base+z]) {
-				destBuf = append(destBuf, c.dest[base+z])
-				sizeBuf = append(sizeBuf, c.size[base+z])
+		for z, e := range row {
+			if !pred(i, z) {
+				buf = append(buf, e)
 			}
 		}
-		copy(c.dest[base:base+live], destBuf)
-		copy(c.size[base:base+live], sizeBuf)
+		copy(row, buf)
 	}
 }
 
@@ -209,7 +165,7 @@ func (c *Compressed) PartitionRows(pred func(src, dst int) bool) {
 func (c *Compressed) RowDests(i int) []int {
 	out := make([]int, 0, c.prt[i]+1)
 	for z := 0; z <= c.prt[i]; z++ {
-		out = append(out, c.dest[i*c.width+z])
+		out = append(out, c.At(i, z))
 	}
 	return out
 }

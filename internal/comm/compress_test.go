@@ -7,13 +7,21 @@ import (
 	"testing/quick"
 )
 
+// load builds a CCOM from m through Load, shuffling with rng when it
+// is non-nil.
+func load(m *Matrix, rng *rand.Rand) *Compressed {
+	c := &Compressed{}
+	c.Load(m, rng)
+	return c
+}
+
 func TestCompressedPreservesRowMultisets(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	m, err := UniformRandom(64, 12, 512, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewCompressed(m, rng)
+	c := load(m, rng)
 	if c.N() != 64 {
 		t.Fatalf("N = %d", c.N())
 	}
@@ -45,7 +53,7 @@ func TestCompressedOrderedAscending(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewCompressedOrdered(m)
+	c := load(m, nil)
 	for i := 0; i < 32; i++ {
 		row := c.RowDests(i)
 		if !sort.IntsAreSorted(row) {
@@ -59,7 +67,7 @@ func TestCompressedRemoveSemantics(t *testing.T) {
 	m.Set(0, 1, 10)
 	m.Set(0, 2, 20)
 	m.Set(0, 3, 30)
-	c := NewCompressedOrdered(m)
+	c := load(m, nil)
 	if c.Remaining(0) != 3 {
 		t.Fatalf("Remaining = %d", c.Remaining(0))
 	}
@@ -89,7 +97,7 @@ func TestCompressedRemoveSemantics(t *testing.T) {
 func TestCompressedRemovePanicsOutOfRange(t *testing.T) {
 	m := MustNew(4)
 	m.Set(0, 1, 10)
-	c := NewCompressedOrdered(m)
+	c := load(m, nil)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Remove beyond prt did not panic")
@@ -104,7 +112,7 @@ func TestCompressedDrainToEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewCompressed(m, rng)
+	c := load(m, rng)
 	if c.Empty() {
 		t.Fatal("fresh CCOM should not be empty")
 	}
@@ -132,7 +140,7 @@ func TestCompressedDrainToEmpty(t *testing.T) {
 
 func TestCompressedEmptyMatrix(t *testing.T) {
 	m := MustNew(8)
-	c := NewCompressed(m, rand.New(rand.NewSource(1)))
+	c := load(m, rand.New(rand.NewSource(1)))
 	if !c.Empty() {
 		t.Fatal("empty matrix should compress to empty CCOM")
 	}
@@ -153,7 +161,7 @@ func TestCompressedDrainMatchesMatrix(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		c := NewCompressed(m, rng)
+		c := load(m, rng)
 		for i := 0; i < 16; i++ {
 			got := map[int]int64{}
 			for c.Remaining(i) > 0 {
@@ -185,8 +193,8 @@ func TestPartitionRows(t *testing.T) {
 	}
 	m.Set(2, 0, 5)
 	m.Set(4, 0, 5)
-	c := NewCompressedOrdered(m)
-	c.PartitionRows(func(src, dst int) bool { return m.At(dst, src) > 0 })
+	c := load(m, nil)
+	c.PartitionRows(func(i, z int) bool { return m.At(c.At(i, z), i) > 0 })
 	row := c.RowDests(0)
 	if len(row) != 5 {
 		t.Fatalf("row length %d", len(row))
@@ -209,7 +217,7 @@ func TestPartitionRowsEmptyAndFull(t *testing.T) {
 	m := MustNew(4)
 	m.Set(0, 1, 10)
 	m.Set(0, 2, 20)
-	c := NewCompressedOrdered(m)
+	c := load(m, nil)
 	// All-true and all-false predicates preserve content and order.
 	c.PartitionRows(func(int, int) bool { return true })
 	row := c.RowDests(0)
@@ -229,8 +237,8 @@ func TestCompressShuffleChangesOrderButNotContent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ordered := NewCompressedOrdered(m)
-	shuffled := NewCompressed(m, rand.New(rand.NewSource(14)))
+	ordered := load(m, nil)
+	shuffled := load(m, rand.New(rand.NewSource(14)))
 	differs := false
 	for i := 0; i < 64 && !differs; i++ {
 		a, b := ordered.RowDests(i), shuffled.RowDests(i)

@@ -7,11 +7,15 @@ import (
 
 // Every pattern generator in this file comes in two forms: Xxx
 // allocates a fresh matrix, and XxxInto regenerates the pattern into a
-// caller-supplied matrix (zeroing it first), so campaign workers can
-// reuse one n x n buffer across an arbitrary number of cells instead
-// of allocating O(n^2) per sample. The Into form is the primitive; the
-// allocating form is a thin wrapper. Both consume the identical RNG
-// stream, so reuse can never change a generated pattern.
+// caller-supplied matrix (emptying it first), reusing its row storage,
+// so campaign workers regenerate one matrix across an arbitrary number
+// of cells without allocating per sample. The Into form is the
+// primitive; the allocating form is a thin wrapper. Both consume the
+// identical RNG stream, so reuse can never change a generated pattern.
+// Generators that draw entries out of row-major order collect them in
+// the matrix's builder — a bitset of placed entries for the
+// uniform-size samplers, queued triples for the aggregating patterns —
+// and write the rows once at the end; the rest append in row order.
 
 // UniformRandom returns the send-side uniform workload: each of the n
 // processors sends messages of the given size to d distinct random
@@ -20,7 +24,7 @@ import (
 // paper's "all nodes send and receive an approximately equal number of
 // messages" assumption.
 func UniformRandom(n, d int, bytes int64, rng *rand.Rand) (*Matrix, error) {
-	return intoFresh(n, func(m *Matrix) error { return UniformRandomInto(m, d, bytes, rng) })
+	return Generate(n, func(m *Matrix) error { return UniformRandomInto(m, d, bytes, rng) })
 }
 
 // UniformRandomInto is UniformRandom regenerating into m (m.N()
@@ -37,7 +41,8 @@ func UniformRandomInto(m *Matrix, d int, bytes int64, rng *rand.Rand) error {
 	if err := checkPatternArgs(n, d, bytes); err != nil {
 		return err
 	}
-	m.Zero()
+	b := newBuilder(m)
+	used := b.marks()
 	// disp holds the displaced entries of the virtual candidate array:
 	// position p represents candidate p unless disp says otherwise.
 	disp := make(map[int]int, 2*d)
@@ -59,10 +64,11 @@ func UniformRandomInto(m *Matrix, d int, bytes int64, rng *rand.Rand) error {
 			if dst >= i {
 				dst++
 			}
-			m.Set(i, dst, bytes)
+			used.add(i, dst)
 		}
 		clear(disp)
 	}
+	b.fill(used, bytes)
 	return nil
 }
 
@@ -81,7 +87,7 @@ func UniformRandomInto(m *Matrix, d int, bytes int64, rng *rand.Rand) error {
 // dense for rejection to converge, the remaining rounds fall back to
 // relabeled-circulant shifts, which are always feasible.
 func DRegular(n, d int, bytes int64, rng *rand.Rand) (*Matrix, error) {
-	return intoFresh(n, func(m *Matrix) error { return DRegularInto(m, d, bytes, rng) })
+	return Generate(n, func(m *Matrix) error { return DRegularInto(m, d, bytes, rng) })
 }
 
 // DRegularInto is DRegular regenerating into m. It consumes the
@@ -92,7 +98,8 @@ func DRegularInto(m *Matrix, d int, bytes int64, rng *rand.Rand) error {
 	if err := checkPatternArgs(n, d, bytes); err != nil {
 		return err
 	}
-	m.Zero()
+	b := newBuilder(m)
+	used := b.marks()
 	perm := make([]int, n)
 	round := 0
 nextRound:
@@ -101,7 +108,7 @@ nextRound:
 			perm[i] = i
 		}
 		rng.Shuffle(n, func(a, b int) { perm[a], perm[b] = perm[b], perm[a] })
-		bad := func(i int) bool { return perm[i] == i || m.At(i, perm[i]) > 0 }
+		bad := func(i int) bool { return perm[i] == i || used.has(i, perm[i]) }
 		for i := 0; i < n; i++ {
 			if !bad(i) {
 				continue
@@ -124,24 +131,26 @@ nextRound:
 			}
 		}
 		for i := 0; i < n; i++ {
-			m.Set(i, perm[i], bytes)
+			used.add(i, perm[i])
 		}
 		round++
 	}
 	if round == d {
+		b.fill(used, bytes)
 		return nil
 	}
 	// Fallback for densities where rejection stalls: rebuild from
 	// scratch as a randomly relabeled circulant — σ(x) sends to
 	// σ((x+k) mod n) for k = 1..d — which is d-regular, fixed-point
 	// free, and duplicate free for every d < n.
-	m.Zero()
+	used = b.marks()
 	sigma := rng.Perm(n)
 	for k := 1; k <= d; k++ {
 		for x := 0; x < n; x++ {
-			m.Set(sigma[x], sigma[(x+k)%n], bytes)
+			used.add(sigma[x], sigma[(x+k)%n])
 		}
 	}
+	b.fill(used, bytes)
 	return nil
 }
 
@@ -150,7 +159,7 @@ nextRound:
 // hotCount processors. It exercises the node-contention behaviour that
 // AC suffers from and the randomized schedulers are designed to avoid.
 func HotSpot(n, d int, bytes int64, hotCount int, hotProb float64, rng *rand.Rand) (*Matrix, error) {
-	return intoFresh(n, func(m *Matrix) error { return HotSpotInto(m, d, bytes, hotCount, hotProb, rng) })
+	return Generate(n, func(m *Matrix) error { return HotSpotInto(m, d, bytes, hotCount, hotProb, rng) })
 }
 
 // HotSpotInto is HotSpot regenerating into m.
@@ -165,7 +174,8 @@ func HotSpotInto(m *Matrix, d int, bytes int64, hotCount int, hotProb float64, r
 	if hotProb < 0 || hotProb > 1 {
 		return fmt.Errorf("comm: hotProb %v out of [0,1]", hotProb)
 	}
-	m.Zero()
+	b := newBuilder(m)
+	used := b.marks()
 	for i := 0; i < n; i++ {
 		for placed := 0; placed < d; {
 			var dst int
@@ -174,13 +184,13 @@ func HotSpotInto(m *Matrix, d int, bytes int64, hotCount int, hotProb float64, r
 			} else {
 				dst = rng.Intn(n)
 			}
-			if dst == i || m.At(i, dst) > 0 {
+			if dst == i || used.add(i, dst) {
 				continue
 			}
-			m.Set(i, dst, bytes)
 			placed++
 		}
 	}
+	b.fill(used, bytes)
 	return nil
 }
 
@@ -189,7 +199,7 @@ func HotSpotInto(m *Matrix, d int, bytes int64, hotCount int, hotProb float64, r
 // link-contention-free permutations the paper cites (§1, referencing
 // hypercube algorithm texts). Density 1.
 func BitComplement(n int, bytes int64) (*Matrix, error) {
-	return intoFresh(n, func(m *Matrix) error { return BitComplementInto(m, bytes) })
+	return Generate(n, func(m *Matrix) error { return BitComplementInto(m, bytes) })
 }
 
 // BitComplementInto is BitComplement regenerating into m.
@@ -211,7 +221,7 @@ func BitComplementInto(m *Matrix, bytes int64) error {
 // Shift returns the cyclic-shift permutation i -> (i+k) mod n.
 // Density 1 for k not a multiple of n.
 func Shift(n, k int, bytes int64) (*Matrix, error) {
-	return intoFresh(n, func(m *Matrix) error { return ShiftInto(m, k, bytes) })
+	return Generate(n, func(m *Matrix) error { return ShiftInto(m, k, bytes) })
 }
 
 // ShiftInto is Shift regenerating into m.
@@ -238,7 +248,7 @@ func ShiftInto(m *Matrix, k int, bytes int64) error {
 // every other processor. Density n-1; the worst case for every
 // scheduler and the pattern LP was originally designed for.
 func AllToAll(n int, bytes int64) (*Matrix, error) {
-	return intoFresh(n, func(m *Matrix) error { return AllToAllInto(m, bytes) })
+	return Generate(n, func(m *Matrix) error { return AllToAllInto(m, bytes) })
 }
 
 // AllToAllInto is AllToAll regenerating into m.
@@ -264,7 +274,7 @@ func AllToAllInto(m *Matrix, bytes int64) error {
 // the paper defers to [15] ("non-uniform message size problems") and
 // the one the size-aware schedulers target.
 func MixedSizes(n, d int, minBytes, maxBytes int64, rng *rand.Rand) (*Matrix, error) {
-	return intoFresh(n, func(m *Matrix) error { return MixedSizesInto(m, d, minBytes, maxBytes, rng) })
+	return Generate(n, func(m *Matrix) error { return MixedSizesInto(m, d, minBytes, maxBytes, rng) })
 }
 
 // MixedSizesInto is MixedSizes regenerating into m.
@@ -279,13 +289,9 @@ func MixedSizesInto(m *Matrix, d int, minBytes, maxBytes int64, rng *rand.Rand) 
 	for b := minBytes; b*2 <= maxBytes; b *= 2 {
 		steps++
 	}
-	n := m.N()
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if m.At(i, j) > 0 {
-				m.Set(i, j, minBytes<<uint(rng.Intn(steps+1)))
-			}
-		}
+	// Row-major message order, as the sizes have always been drawn.
+	for k := range m.size {
+		m.size[k] = minBytes << uint(rng.Intn(steps+1))
 	}
 	return nil
 }
@@ -298,7 +304,7 @@ func MixedSizesInto(m *Matrix, d int, minBytes, maxBytes int64, rng *rand.Rand) 
 // computations require. adj[u] lists the elements u's value is needed
 // by. part values must lie in [0, n).
 func HaloFromPartition(n int, part []int, adj [][]int, bytesPerElem int64) (*Matrix, error) {
-	return intoFresh(n, func(m *Matrix) error { return HaloFromPartitionInto(m, part, adj, bytesPerElem) })
+	return Generate(n, func(m *Matrix) error { return HaloFromPartitionInto(m, part, adj, bytesPerElem) })
 }
 
 // HaloFromPartitionInto is HaloFromPartition regenerating into m.
@@ -312,26 +318,27 @@ func HaloFromPartitionInto(m *Matrix, part []int, adj [][]int, bytesPerElem int6
 			return fmt.Errorf("comm: element %d assigned to processor %d outside [0,%d)", u, owner, n)
 		}
 	}
-	m.Zero()
+	b := newBuilder(m)
 	for u, owner := range part {
 		for _, v := range adj[u] {
 			if v < 0 || v >= len(part) {
 				return fmt.Errorf("comm: element %d has neighbor %d outside [0,%d)", u, v, len(part))
 			}
 			if other := part[v]; other != owner {
-				m.Add(owner, other, bytesPerElem)
+				b.put(owner, other, bytesPerElem)
 			}
 		}
 	}
+	b.done(true)
 	return nil
 }
 
-// intoFresh allocates an n x n matrix and fills it with gen, the shared
-// shape of every allocating generator wrapper.
-func intoFresh(n int, gen func(*Matrix) error) (*Matrix, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("comm: processor count %d must be positive", n)
-	}
+// Generate allocates an empty n x n matrix and fills it with gen, one
+// of the XxxInto generators: the one-shot form of the reuse pattern,
+// behind every allocating generator here and workload.Spec.Build. The
+// returned matrix keeps no build scratch (the bitset or queued triples
+// an XxxInto leaves for its next run), so it holds only its messages.
+func Generate(n int, gen func(*Matrix) error) (*Matrix, error) {
 	m, err := New(n)
 	if err != nil {
 		return nil, err
@@ -339,6 +346,7 @@ func intoFresh(n int, gen func(*Matrix) error) (*Matrix, error) {
 	if err := gen(m); err != nil {
 		return nil, err
 	}
+	m.b = nil
 	return m, nil
 }
 

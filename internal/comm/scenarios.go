@@ -18,7 +18,7 @@ import (
 // 1 — the lightest workload a scheduler can face, and the base case of
 // the paper's "d partial permutations" decomposition argument.
 func Permutation(n int, bytes int64, rng *rand.Rand) (*Matrix, error) {
-	return intoFresh(n, func(m *Matrix) error { return PermutationInto(m, bytes, rng) })
+	return Generate(n, func(m *Matrix) error { return PermutationInto(m, bytes, rng) })
 }
 
 // PermutationInto is Permutation regenerating into m. A uniform random
@@ -50,7 +50,7 @@ func PermutationInto(m *Matrix, bytes int64, rng *rand.Rand) error {
 // processors stay silent. The canonical "corner turn" phase of 2D FFTs
 // and out-of-core transposes; density 1, deterministic.
 func Transpose(n int, bytes int64) (*Matrix, error) {
-	return intoFresh(n, func(m *Matrix) error { return TransposeInto(m, bytes) })
+	return Generate(n, func(m *Matrix) error { return TransposeInto(m, bytes) })
 }
 
 // TransposeInto is Transpose regenerating into m.
@@ -81,7 +81,7 @@ func TransposeInto(m *Matrix, bytes int64) error {
 // dependency adds bytesPerElem to the owning pair. The 3D analog of
 // the irregular-mesh halo workload; deterministic.
 func Stencil3D(n, x, y, z int, bytesPerElem int64) (*Matrix, error) {
-	return intoFresh(n, func(m *Matrix) error { return Stencil3DInto(m, x, y, z, bytesPerElem) })
+	return Generate(n, func(m *Matrix) error { return Stencil3DInto(m, x, y, z, bytesPerElem) })
 }
 
 // Stencil3DInto is Stencil3D regenerating into m.
@@ -100,7 +100,7 @@ func Stencil3DInto(m *Matrix, x, y, z int, bytesPerElem int64) error {
 	if bytesPerElem <= 0 {
 		return fmt.Errorf("comm: bytesPerElem %d must be positive", bytesPerElem)
 	}
-	m.Zero()
+	b := newBuilder(m)
 	id := func(ix, iy, iz int) int { return (ix*y+iy)*z + iz }
 	owner := func(u int) int { return u * n / total }
 	for ix := 0; ix < x; ix++ {
@@ -117,12 +117,13 @@ func Stencil3DInto(m *Matrix, x, y, z int, bytesPerElem int64) error {
 					// u's value is needed by v's sweep: owner(u) sends to
 					// owner(v), exactly the HaloFromPartition convention.
 					if q := owner(v); q != p {
-						m.Add(p, q, bytesPerElem)
+						b.put(p, q, bytesPerElem)
 					}
 				}
 			}
 		}
 	}
+	b.done(true)
 	return nil
 }
 
@@ -135,7 +136,7 @@ func Stencil3DInto(m *Matrix, x, y, z int, bytesPerElem int64) error {
 // its owner. Hot columns make hot processors — the skewed receive-side
 // load the paper's randomized schedulers are built for.
 func SpMVPowerLaw(n, nnzPerRow int, bytesPerEntry int64, rng *rand.Rand) (*Matrix, error) {
-	return intoFresh(n, func(m *Matrix) error { return SpMVPowerLawInto(m, nnzPerRow, bytesPerEntry, rng) })
+	return Generate(n, func(m *Matrix) error { return SpMVPowerLawInto(m, nnzPerRow, bytesPerEntry, rng) })
 }
 
 // SpMVPowerLawInto is SpMVPowerLaw regenerating into m.
@@ -160,14 +161,10 @@ func SpMVPowerLawInto(m *Matrix, nnzPerRow int, bytesPerEntry int64, rng *rand.R
 		cum[j] = acc
 	}
 	owner := func(row int) int { return row * n / rows }
-	// Presize for the common sparse case, but never let the hint alone
-	// demand unbounded memory for large (n, nnz) combinations.
-	hint := rows * nnzPerRow / 4
-	if hint > 1<<20 {
-		hint = 1 << 20
-	}
-	seen := make(map[[2]int]bool, hint)
-	m.Zero()
+	// fetched[col] = p+1 once processor p has fetched vector entry col;
+	// p only grows with row, so one stamp per column dedupes.
+	fetched := make([]int32, rows)
+	b := newBuilder(m)
 	for row := 0; row < rows; row++ {
 		p := owner(row)
 		for k := 0; k < nnzPerRow; k++ {
@@ -176,17 +173,14 @@ func SpMVPowerLawInto(m *Matrix, nnzPerRow int, bytesPerEntry int64, rng *rand.R
 				col = rows - 1
 			}
 			q := owner(col)
-			if q == p {
-				continue
+			if q == p || fetched[col] == int32(p+1) {
+				continue // local, or fetched once per processor already
 			}
-			key := [2]int{p, col}
-			if seen[key] {
-				continue // vector entry fetched once per processor
-			}
-			seen[key] = true
-			m.Add(q, p, bytesPerEntry)
+			fetched[col] = int32(p + 1)
+			b.put(q, p, bytesPerEntry)
 		}
 	}
+	b.done(true)
 	return nil
 }
 

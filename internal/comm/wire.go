@@ -2,12 +2,11 @@ package comm
 
 // Binary wire encoding of the communication matrix: the compact,
 // self-describing form the unschedd service serves when a client asks
-// for application/x-unsched-binary. A dense n x n matrix is almost
-// always sparse in messages (the paper's workloads are d-regular with
-// d << n), so the wire form is the CCOM idea applied to serialization:
-// per-row entry lists, with destination columns delta-encoded as
-// varints and sizes as varints. A 1024-node d=8 matrix is ~40 KB
-// instead of the ~300 KB of its JSON triples, before compression.
+// for application/x-unsched-binary. It serializes the Matrix's own
+// sparse rows (the paper's workloads are d-regular with d << n): per-row
+// entry counts, destination columns delta-encoded as varints, and
+// sizes as varints. A 1024-node d=8 matrix is ~40 KB instead of the
+// ~300 KB of its JSON triples, before compression.
 //
 // The encoding is canonical: rows in ascending order, columns strictly
 // ascending within a row, every varint minimal. The decoder is total
@@ -90,27 +89,18 @@ func (m *Matrix) AppendBinary(dst []byte) []byte {
 	dst = append(dst, MatrixWireVersion)
 	dst = binary.AppendUvarint(dst, uint64(m.n))
 	for i := 0; i < m.n; i++ {
-		count := 0
-		for _, b := range m.data[i*m.n : (i+1)*m.n] {
-			if b > 0 {
-				count++
-			}
-		}
-		dst = binary.AppendUvarint(dst, uint64(count))
+		dst = binary.AppendUvarint(dst, uint64(m.SendDegree(i)))
 	}
 	for i := 0; i < m.n; i++ {
-		prev := -1
-		for j, b := range m.data[i*m.n : (i+1)*m.n] {
-			if b > 0 {
-				dst = binary.AppendUvarint(dst, uint64(j-prev))
-				prev = j
-			}
+		prev := int32(-1)
+		cols, _ := m.Row(i)
+		for _, j := range cols {
+			dst = binary.AppendUvarint(dst, uint64(j-prev))
+			prev = j
 		}
 	}
-	for _, b := range m.data {
-		if b > 0 {
-			dst = binary.AppendUvarint(dst, uint64(b))
-		}
+	for _, b := range m.size {
+		dst = binary.AppendUvarint(dst, uint64(b))
 	}
 	return dst
 }
@@ -149,14 +139,13 @@ func DecodeMatrixBinary(b []byte) (*Matrix, error) {
 	}
 	n := int(nv)
 	// Every row costs at least one byte (its count varint), so a header
-	// promising n rows needs at least n more bytes: check before the
-	// O(n^2) dense allocation so a tiny forged header cannot demand it.
+	// promising n rows needs at least n more bytes: check before
+	// allocating the row offsets.
 	if len(rest) < n {
 		return nil, errWireTooShort
 	}
 	m := MustNew(n)
-	counts := make([]int, n)
-	total := uint64(0)
+	m.off = make([]int, n+1)
 	for i := 0; i < n; i++ {
 		cv, k, err := ReadUvarint(rest)
 		if err != nil {
@@ -166,19 +155,19 @@ func DecodeMatrixBinary(b []byte) (*Matrix, error) {
 		if cv > uint64(n) {
 			return nil, errWireRowCount
 		}
-		counts[i] = int(cv)
-		total += cv
+		m.off[i+1] = m.off[i] + int(cv)
 	}
+	total := m.off[n]
 	// Each entry contributes one delta varint and one size varint, each
-	// at least a byte: bound the total before walking the columns.
-	if uint64(len(rest)) < 2*total {
+	// at least a byte: bound the total before allocating the rows.
+	if len(rest) < 2*total {
 		return nil, errWireTooShort
 	}
-	// Column positions for every row, then every size, row-major.
-	cols := make([]int, 0, total)
+	m.col = make([]int32, total)
+	m.size = make([]int64, total)
 	for i := 0; i < n; i++ {
 		prev := -1
-		for e := 0; e < counts[i]; e++ {
+		for p := m.off[i]; p < m.off[i+1]; p++ {
 			delta, k, err := ReadUvarint(rest)
 			if err != nil {
 				return nil, err
@@ -191,11 +180,11 @@ func DecodeMatrixBinary(b []byte) (*Matrix, error) {
 			if col >= n {
 				return nil, errWireColumn
 			}
-			cols = append(cols, i*n+col)
+			m.col[p] = int32(col)
 			prev = col
 		}
 	}
-	for _, at := range cols {
+	for p := range m.size {
 		size, k, err := ReadUvarint(rest)
 		if err != nil {
 			return nil, err
@@ -207,7 +196,7 @@ func DecodeMatrixBinary(b []byte) (*Matrix, error) {
 		if size > math.MaxInt64 {
 			return nil, fmt.Errorf("comm: binary matrix message size %d overflows int64", size)
 		}
-		m.data[at] = int64(size)
+		m.size[p] = int64(size)
 	}
 	if len(rest) != 0 {
 		return nil, errWireTrailing

@@ -127,6 +127,7 @@ func FuzzBinaryMatrix(f *testing.F) {
 	f.Add(MustNew(1).EncodeBinary())
 	f.Add([]byte{'U', 'S', 'W', 'M', 1, 2, 0, 0})
 	f.Add([]byte{'U', 'S', 'W', 'M', 1})
+	f.Add(MustNew(MaxReadNodes).EncodeBinary()) // largest header, no entries
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := DecodeMatrixBinary(data)
 		if err != nil {

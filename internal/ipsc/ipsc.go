@@ -124,7 +124,7 @@ type Machine struct {
 	barrierWaiters [][]int32
 	// progs is the compile arena the Run* methods build per-node
 	// programs into; inner slices keep their capacity across runs.
-	// recvScratch is the compile-time receive-count scratch (S2).
+	// recvScratch is the compile-time receive-count scratch (S2, AC).
 	progs       [][]op
 	recvScratch []int
 	// stats

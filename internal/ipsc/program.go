@@ -278,15 +278,17 @@ func (m *Machine) RunLP(s *sched.Schedule) (Result, error) {
 // in order (csend semantics: each long-protocol send blocks until the
 // transfer completes), then confirm arrivals.
 func CompileAC(o *sched.ACOrder, m *comm.Matrix, params costmodel.Params) [][]op {
-	return appendAC(make([][]op, o.N), o, m, params)
+	return appendAC(make([][]op, o.N), o, m, params, nil)
 }
 
-// appendAC compiles AC programs into the given per-node slices — the
-// arena-reusing form behind CompileAC and Machine.RunAC.
-func appendAC(programs [][]op, o *sched.ACOrder, m *comm.Matrix, params costmodel.Params) [][]op {
+// appendAC compiles AC programs into the given per-node slices, using
+// recvScratch for the receive degrees — the arena-reusing form behind
+// CompileAC and Machine.RunAC.
+func appendAC(programs [][]op, o *sched.ACOrder, m *comm.Matrix, params costmodel.Params, recvScratch []int) [][]op {
 	n := o.N
+	recv := m.RecvDegrees(recvScratch)
 	for i := 0; i < n; i++ {
-		programs[i] = append(programs[i], op{kind: opDelay, cost: float64(m.RecvDegree(i)) * params.PostOverheadUS})
+		programs[i] = append(programs[i], op{kind: opDelay, cost: float64(recv[i]) * params.PostOverheadUS})
 		for _, j := range o.Order[i] {
 			programs[i] = append(programs[i], op{kind: opSendFire, peer: int32(j), bytes: m.At(i, j)})
 		}
@@ -302,16 +304,17 @@ func appendAC(programs [][]op, o *sched.ACOrder, m *comm.Matrix, params costmode
 // benchmark that measures how much of AC's large-message collapse is
 // head-of-line blocking versus raw contention.
 func CompileACAsync(o *sched.ACOrder, m *comm.Matrix, params costmodel.Params) [][]op {
-	return appendACAsync(make([][]op, o.N), o, m, params)
+	return appendACAsync(make([][]op, o.N), o, m, params, nil)
 }
 
 // appendACAsync compiles the idealized-async programs into the given
-// per-node slices — the arena-reusing form behind CompileACAsync and
-// Machine.RunACAsync.
-func appendACAsync(programs [][]op, o *sched.ACOrder, m *comm.Matrix, params costmodel.Params) [][]op {
+// per-node slices, using recvScratch as appendAC does — the
+// arena-reusing form behind CompileACAsync and Machine.RunACAsync.
+func appendACAsync(programs [][]op, o *sched.ACOrder, m *comm.Matrix, params costmodel.Params, recvScratch []int) [][]op {
 	n := o.N
+	recv := m.RecvDegrees(recvScratch)
 	for i := 0; i < n; i++ {
-		programs[i] = append(programs[i], op{kind: opDelay, cost: float64(m.RecvDegree(i)) * params.PostOverheadUS})
+		programs[i] = append(programs[i], op{kind: opDelay, cost: float64(recv[i]) * params.PostOverheadUS})
 		for _, j := range o.Order[i] {
 			programs[i] = append(programs[i],
 				op{kind: opDelay, cost: params.PostOverheadUS},
@@ -338,7 +341,7 @@ func (m *Machine) RunACAsync(o *sched.ACOrder, com *comm.Matrix) (Result, error)
 			m.net.Nodes(), o.N, com.N())
 	}
 	m.Reset()
-	return m.run(appendACAsync(m.progArena(), o, com, m.params))
+	return m.run(appendACAsync(m.progArena(), o, com, m.params, m.recvArena()))
 }
 
 // RunS1 simulates the schedule under the S1 protocol and returns the
@@ -397,7 +400,7 @@ func (m *Machine) RunAC(o *sched.ACOrder, com *comm.Matrix) (Result, error) {
 			m.net.Nodes(), o.N, com.N())
 	}
 	m.Reset()
-	return m.run(appendAC(m.progArena(), o, com, m.params))
+	return m.run(appendAC(m.progArena(), o, com, m.params, m.recvArena()))
 }
 
 // progArena returns the machine's per-node program slices, truncated
@@ -416,7 +419,7 @@ func (m *Machine) progArena() [][]op {
 	return progs
 }
 
-// recvArena returns the reusable S2 receive-count scratch.
+// recvArena returns the reusable receive-count scratch (S2 and AC).
 func (m *Machine) recvArena() []int {
 	if n := len(m.nodes); cap(m.recvScratch) < n {
 		m.recvScratch = make([]int, n)

@@ -46,7 +46,8 @@ type Core struct {
 	occPool []*topo.Occupancy
 
 	trecv, tsend       []int
-	rem                []bool // n*n unscheduled-message map (RS_NL pairwise)
+	rem                []bool // per-message unscheduled flags, by Matrix.Index (RS_NL pairwise)
+	rev                []int  // Matrix.Reverses scratch (RS_NL pairwise)
 	msgs               []comm.Message
 	sendBusy, recvBusy []bool
 	sizes              []int64 // distinct-size scratch (RS_NL_SZ)
@@ -272,23 +273,23 @@ func (c *Core) rsnl(m *comm.Matrix, rng *rand.Rand, pairwise bool) (*Schedule, e
 	var ops int64
 	ops += int64(n) // per-processor compression of one row, as in RSN
 
+	// Per-message scratch, indexed by Matrix.Index position: rem flags
+	// the unscheduled messages, and rev[k] is the position of message
+	// k's reverse (-1 if none), so the scan asks "does y still need to
+	// send to x" in O(1).
+	rem := boolScratch(&c.rem, m.MessageCount())
+	for k := range rem {
+		rem[k] = true
+	}
+	var rev []int
 	if pairwise {
+		c.rev = m.Reverses(c.rev)
+		rev = c.rev
 		// Locate pairwise-exchange candidates once: stable-partition
 		// every row so destinations with a reverse message lead. The
 		// per-phase scan then meets exchange opportunities first.
-		ccom.PartitionRows(func(src, dst int) bool { return m.At(dst, src) > 0 })
+		ccom.PartitionRows(func(i, z int) bool { return rev[ccom.Index(i, z)] >= 0 })
 		ops += int64(m.MessageCount())
-	}
-
-	// rem mirrors the unscheduled message set so the scan can ask
-	// "does y still need to send to x" in O(1). The CCOM rows hold
-	// exactly the nonzero entries, so filling from them avoids
-	// materializing a Messages slice.
-	rem := boolScratch(&c.rem, n*n)
-	for i := 0; i < n; i++ {
-		for z := 0; z < ccom.Remaining(i); z++ {
-			rem[i*n+ccom.At(i, z)] = true
-		}
 	}
 
 	occ := c.occupancy()
@@ -341,7 +342,8 @@ func (c *Core) rsnl(m *comm.Matrix, rng *rand.Rand, pairwise bool) (*Schedule, e
 				// Feasible. Upgrade to a pairwise exchange if the
 				// reverse message is still pending and both the
 				// reverse circuit and both endpoints allow it.
-				if pairwise && rem[y*n+x] && tsend[y] == -1 && trecv[x] == -1 {
+				k := ccom.Index(x, z)
+				if pairwise && rev[k] >= 0 && rem[rev[k]] && tsend[y] == -1 && trecv[x] == -1 {
 					ops += int64(c.hops(y, x))
 					if occ.CheckPath(y, x) {
 						_, bytes := ccom.Remove(x, z)
@@ -350,8 +352,8 @@ func (c *Core) rsnl(m *comm.Matrix, rng *rand.Rand, pairwise bool) (*Schedule, e
 						p.Send[y], p.Bytes[y] = x, backBytes
 						tsend[x], trecv[y] = y, x
 						tsend[y], trecv[x] = x, y
-						rem[x*n+y] = false
-						rem[y*n+x] = false
+						rem[k] = false
+						rem[rev[k]] = false
 						occ.MarkPath(x, y)
 						occ.MarkPath(y, x)
 						break
@@ -360,7 +362,7 @@ func (c *Core) rsnl(m *comm.Matrix, rng *rand.Rand, pairwise bool) (*Schedule, e
 				_, bytes := ccom.Remove(x, z)
 				p.Send[x], p.Bytes[x] = y, bytes
 				tsend[x], trecv[y] = y, x
-				rem[x*n+y] = false
+				rem[k] = false
 				occ.MarkPath(x, y)
 				break
 			}
@@ -388,7 +390,7 @@ func (c *Core) RSNLSized(m *comm.Matrix, rng *rand.Rand) (*Schedule, error) {
 	ccom := &c.ccom
 	var ops int64
 	ops += int64(n)
-	c.sortRowsBySize(ccom, m)
+	c.sortRowsBySize(ccom)
 	ops += int64(m.MessageCount())
 
 	occ := c.occupancy()
@@ -445,7 +447,7 @@ func (c *Core) RSNLSized(m *comm.Matrix, rng *rand.Rand) (*Schedule, error) {
 // order (stable on the shuffled order for equal sizes). CCOM exposes
 // only partition and remove, so sort by repeated partitioning on size
 // thresholds — each distinct size is one pass.
-func (c *Core) sortRowsBySize(ccom *comm.Compressed, m *comm.Matrix) {
+func (c *Core) sortRowsBySize(ccom *comm.Compressed) {
 	// Collect the distinct sizes ascending; partitioning from the
 	// smallest threshold upward leaves rows in descending order
 	// (later partitions move larger entries in front, stably).
@@ -472,7 +474,7 @@ func (c *Core) sortRowsBySize(ccom *comm.Compressed, m *comm.Matrix) {
 	c.sizes = sizes
 	for _, threshold := range sizes {
 		th := threshold
-		ccom.PartitionRows(func(src, dst int) bool { return m.At(src, dst) >= th })
+		ccom.PartitionRows(func(i, z int) bool { return ccom.SizeAt(i, z) >= th })
 	}
 }
 
@@ -489,21 +491,22 @@ func (c *Core) LP(m *comm.Matrix) (*Schedule, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	s := &Schedule{Algorithm: "LP", N: n}
-	for k := 1; k < n; k++ {
-		p := NewPhase(n)
-		for i := 0; i < n; i++ {
-			j := i ^ k
-			if b := m.At(i, j); b > 0 {
-				p.Send[i] = j
-				p.Bytes[i] = b
-			}
+	s := &Schedule{Algorithm: "LP", N: n, Phases: make([]Phase, n-1)}
+	// The paper's LP walks all n-1 iterations even when a phase is
+	// empty (that is exactly its weakness at low density); keep empty
+	// phases so the phase count is n-1 and the executor pays the
+	// per-phase loop cost. Phase k pairs i with i^k, so each message
+	// Pi -> Pj lands in phase i^j.
+	for k := range s.Phases {
+		s.Phases[k] = NewPhase(n)
+	}
+	for i := 0; i < n; i++ {
+		dst, bytes := m.Row(i)
+		for z, j := range dst {
+			p := s.Phases[(i^int(j))-1]
+			p.Send[i] = int(j)
+			p.Bytes[i] = bytes[z]
 		}
-		// The paper's LP walks all n-1 iterations even when a phase is
-		// empty (that is exactly its weakness at low density); keep
-		// empty phases so the phase count is n-1 and the executor pays
-		// the per-phase loop cost.
-		s.Phases = append(s.Phases, p)
 	}
 	// Ops models the per-processor scheduling cost ("comp" in Table 1):
 	// each processor derives its own partner sequence with one XOR and
@@ -526,9 +529,10 @@ func (c *Core) AC(m *comm.Matrix) (*ACOrder, error) {
 	n := m.N()
 	o := &ACOrder{N: n, Order: make([][]int, n)}
 	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if m.At(i, j) > 0 {
-				o.Order[i] = append(o.Order[i], j)
+		if dst, _ := m.Row(i); len(dst) > 0 {
+			o.Order[i] = make([]int, len(dst))
+			for z, j := range dst {
+				o.Order[i][z] = int(j)
 			}
 		}
 	}

@@ -25,37 +25,28 @@ type Features struct {
 	SizeCV float64 `json:"size_cv"`
 }
 
-// MeasureFeatures computes a matrix's selection features in one
-// O(n^2) pass. It is meant to run once per matrix at the harness
+// MeasureFeatures computes a matrix's selection features in one pass
+// over its messages. It is meant to run once per matrix at the harness
 // layer (service request, campaign sample) — never inside the
 // scheduling algorithms themselves, whose instrumented op counts must
 // stay a faithful model of the paper's runtime cost.
 func MeasureFeatures(m *comm.Matrix) Features {
 	n := m.N()
-	recv := make([]int, n)
 	var count int64
 	var sum, sumSq float64
 	maxDeg := 0
 	for i := 0; i < n; i++ {
-		row := 0
-		for j := 0; j < n; j++ {
-			if b := m.At(i, j); b > 0 {
-				row++
-				recv[j]++
-				fb := float64(b)
-				sum += fb
-				sumSq += fb * fb
-				count++
-			}
-		}
-		if row > maxDeg {
-			maxDeg = row
+		_, bytes := m.Row(i)
+		maxDeg = max(maxDeg, len(bytes))
+		for _, b := range bytes {
+			fb := float64(b)
+			sum += fb
+			sumSq += fb * fb
+			count++
 		}
 	}
-	for _, r := range recv {
-		if r > maxDeg {
-			maxDeg = r
-		}
+	for _, r := range m.RecvDegrees(nil) {
+		maxDeg = max(maxDeg, r)
 	}
 	f := Features{Nodes: n, Density: maxDeg}
 	if count > 1 && sum > 0 {

@@ -56,6 +56,6 @@ func RSNLSized(m *comm.Matrix, net topo.Topology, rng *rand.Rand) (*Schedule, er
 // sortRowsBySize reorders every CCOM row into descending message-size
 // order; see Core.sortRowsBySize. Kept as a standalone helper for
 // callers (and tests) that hold a CCOM without a Core.
-func sortRowsBySize(ccom *comm.Compressed, m *comm.Matrix) {
-	(&Core{}).sortRowsBySize(ccom, m)
+func sortRowsBySize(ccom *comm.Compressed) {
+	(&Core{}).sortRowsBySize(ccom)
 }

@@ -140,12 +140,15 @@ func (s *Schedule) Validate(m *comm.Matrix) error {
 	if s.N != m.N() {
 		return fmt.Errorf("sched: schedule for %d processors, matrix has %d", s.N, m.N())
 	}
-	seen := comm.MustNew(m.N())
+	// seen flags the scheduled messages by their position in m.
+	seen := make([]bool, m.MessageCount())
+	scheduled := 0
+	recvBusy := make([]bool, s.N)
 	for k, p := range s.Phases {
 		if len(p.Send) != s.N || len(p.Bytes) != s.N {
 			return fmt.Errorf("sched: phase %d has wrong width", k)
 		}
-		recvBusy := make([]bool, s.N)
+		clear(recvBusy)
 		for i, j := range p.Send {
 			if j == -1 {
 				if p.Bytes[i] != 0 {
@@ -163,20 +166,22 @@ func (s *Schedule) Validate(m *comm.Matrix) error {
 				return fmt.Errorf("sched: phase %d: node contention at receiver P%d", k, j)
 			}
 			recvBusy[j] = true
-			if seen.At(i, j) > 0 {
-				return fmt.Errorf("sched: message P%d->P%d scheduled twice (again in phase %d)", i, j, k)
-			}
-			if want := m.At(i, j); want == 0 {
+			at := m.Index(i, j)
+			switch {
+			case at < 0:
 				return fmt.Errorf("sched: phase %d schedules P%d->P%d not present in COM", k, i, j)
-			} else if p.Bytes[i] != want {
-				return fmt.Errorf("sched: phase %d: P%d->P%d has %d bytes, COM says %d", k, i, j, p.Bytes[i], want)
+			case seen[at]:
+				return fmt.Errorf("sched: message P%d->P%d scheduled twice (again in phase %d)", i, j, k)
+			case p.Bytes[i] != m.At(i, j):
+				return fmt.Errorf("sched: phase %d: P%d->P%d has %d bytes, COM says %d", k, i, j, p.Bytes[i], m.At(i, j))
 			}
-			seen.Set(i, j, p.Bytes[i])
+			seen[at] = true
+			scheduled++
 		}
 	}
-	if !seen.Equal(m) {
+	if scheduled != len(seen) {
 		return fmt.Errorf("sched: schedule does not cover COM (%d of %d messages scheduled)",
-			seen.MessageCount(), m.MessageCount())
+			scheduled, len(seen))
 	}
 	return nil
 }

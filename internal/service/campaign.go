@@ -311,7 +311,7 @@ func resolveCampaign(req *CampaignRequest) (expt.Config, []expt.Point, string, e
 // resolveWorkloadSpec parses and gates one workload spec against an
 // n-node machine: grammar, structural caps (element grids, degrees),
 // machine fit, and the service's own size cap — all enforced from the
-// spec string BEFORE any O(n^2) matrix or O(elements) mesh build,
+// spec string BEFORE any matrix or O(elements) mesh build,
 // matching the topo.Spec gate.
 func resolveWorkloadSpec(s string, nodes int) (workload.Spec, error) {
 	sp, err := workload.ParseSpec(s)

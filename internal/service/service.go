@@ -719,7 +719,7 @@ func (s *Server) scheduleJob(ctx context.Context, req *ScheduleRequest) (string,
 // scheduleWorkloadJob serves /v1/schedule requests that name a
 // generated workload instead of shipping a matrix. Every gate — spec
 // grammar, structural caps, machine fit, size cap — is enforced from
-// the spec string before the O(n^2) build, which itself runs on the
+// the spec string before the matrix build, which itself runs on the
 // worker pool, off the HTTP goroutine. The pattern RNG derives from
 // the request's content hash, so the same request generates the same
 // matrix on any server at any time.

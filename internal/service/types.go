@@ -309,7 +309,7 @@ func decodeJSON(r *http.Request, v any) error {
 	return nil
 }
 
-// resolveMatrix validates the wire matrix and builds the dense form.
+// resolveMatrix validates the wire matrix and builds its sparse form.
 func resolveMatrix(mj *WireMatrix) (*comm.Matrix, error) {
 	if mj == nil {
 		return nil, badRequest("missing matrix")
@@ -317,40 +317,24 @@ func resolveMatrix(mj *WireMatrix) (*comm.Matrix, error) {
 	if mj.N < 2 || mj.N > maxServiceNodes {
 		return nil, badRequest("matrix n=%d out of range [2,%d]", mj.N, maxServiceNodes)
 	}
-	m, err := comm.New(mj.N)
-	if err != nil {
-		return nil, badRequest("%v", err)
-	}
 	if max := mj.N * (mj.N - 1); len(mj.Messages) > max {
 		return nil, badRequest("%d messages for n=%d; a matrix holds at most %d", len(mj.Messages), mj.N, max)
 	}
-	for k, msg := range mj.Messages {
-		src, dst, bytes := msg[0], msg[1], msg[2]
-		if src < 0 || src >= int64(mj.N) || dst < 0 || dst >= int64(mj.N) {
-			return nil, badRequest("message %d: node out of range [0,%d)", k, mj.N)
-		}
-		if src == dst {
-			return nil, badRequest("message %d: self message %d->%d", k, src, dst)
-		}
-		if bytes <= 0 {
-			return nil, badRequest("message %d: size %d must be positive", k, bytes)
-		}
-		if m.At(int(src), int(dst)) != 0 {
-			// Silently overwriting (or summing) ambiguous input would
-			// hand back a 200 for a matrix the client didn't mean.
-			return nil, badRequest("message %d: duplicate entry %d->%d", k, src, dst)
-		}
-		m.Set(int(src), int(dst), bytes)
+	m, err := comm.FromTriples(mj.N, mj.Messages)
+	if err != nil {
+		return nil, badRequest("%v", err)
 	}
 	return m, nil
 }
 
-// NewWireMatrix converts a dense matrix back to wire form.
+// NewWireMatrix converts a matrix to wire form.
 func NewWireMatrix(m *comm.Matrix) *WireMatrix {
-	msgs := m.Messages()
-	out := &WireMatrix{N: m.N(), Messages: make([][3]int64, len(msgs))}
-	for i, msg := range msgs {
-		out.Messages[i] = [3]int64{int64(msg.Src), int64(msg.Dst), msg.Bytes}
+	out := &WireMatrix{N: m.N(), Messages: make([][3]int64, 0, m.MessageCount())}
+	for i := 0; i < m.N(); i++ {
+		dst, bytes := m.Row(i)
+		for k, j := range dst {
+			out.Messages = append(out.Messages, [3]int64{int64(i), int64(j), bytes[k]})
+		}
 	}
 	return out
 }

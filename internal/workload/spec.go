@@ -545,16 +545,10 @@ func (sp Spec) Deterministic() bool {
 // Build constructs the workload's communication matrix for an n-node
 // machine. rng drives the randomized kinds (it may be nil for the
 // deterministic ones) and is the only source of randomness, so one
-// seed reproduces one matrix anywhere.
+// seed reproduces one matrix anywhere. The matrix keeps no build
+// scratch, unlike one regenerated through BuildInto.
 func (sp Spec) Build(n int, rng *rand.Rand) (*comm.Matrix, error) {
-	m, err := comm.New(n)
-	if err != nil {
-		return nil, err
-	}
-	if err := sp.BuildInto(m, rng); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return comm.Generate(n, func(m *comm.Matrix) error { return sp.BuildInto(m, rng) })
 }
 
 // BuildInto regenerates the workload into m (sized for the target

@@ -18,6 +18,7 @@ import (
 	"testing"
 
 	"unsched/internal/comm"
+	"unsched/internal/service"
 )
 
 func wireBenchMatrix(b *testing.B, n int) *comm.Matrix {
@@ -30,23 +31,22 @@ func wireBenchMatrix(b *testing.B, n int) *comm.Matrix {
 	return m
 }
 
+// benchWireEncodeJSON times the service's JSON matrix path from the
+// matrix, as the binary bench does: the wire triples built by
+// NewWireMatrix, then encoded. The encoder writes into one reused
+// buffer, so the allocations counted are the wire form's own.
 func benchWireEncodeJSON(b *testing.B, n int) {
 	m := wireBenchMatrix(b, n)
-	msgs := m.Messages()
-	triples := make([][3]int64, len(msgs))
-	for i, msg := range msgs {
-		triples[i] = [3]int64{int64(msg.Src), int64(msg.Dst), msg.Bytes}
-	}
-	doc := WireMatrix{N: m.N(), Messages: triples}
-	var enc []byte
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var err error
-		if enc, err = json.Marshal(doc); err != nil {
+		buf.Reset()
+		if err := enc.Encode(service.NewWireMatrix(m)); err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(len(enc)), "wire_bytes")
+	b.ReportMetric(float64(buf.Len()-1), "wire_bytes") // Encode adds a newline
 }
 
 func benchWireEncodeBinary(b *testing.B, n int) {
@@ -67,6 +67,19 @@ func BenchmarkWireEncodeMatrixJSON_256(b *testing.B)    { benchWireEncodeJSON(b,
 func BenchmarkWireEncodeMatrixBinary_256(b *testing.B)  { benchWireEncodeBinary(b, 256) }
 func BenchmarkWireEncodeMatrixJSON_1024(b *testing.B)   { benchWireEncodeJSON(b, 1024) }
 func BenchmarkWireEncodeMatrixBinary_1024(b *testing.B) { benchWireEncodeBinary(b, 1024) }
+func BenchmarkWireEncodeMatrixBinary_4096(b *testing.B) { benchWireEncodeBinary(b, 4096) }
+
+// BenchmarkWireMatrixHash_4096 times the content hash of a matrix at
+// the service's node cap — the cost every matrix-body request pays for
+// its cache key.
+func BenchmarkWireMatrixHash_4096(b *testing.B) {
+	m := wireBenchMatrix(b, 4096)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.ContentHash()
+	}
+}
 
 // wireBenchServer starts an in-process service and primes the cache
 // with one paper-scale schedule, returning the URL, the request body,
