@@ -14,14 +14,13 @@ import (
 )
 
 // allocBudgetRoundTrip pins one RSNL schedule plus one S1 simulation
-// on reused core+machine. Since the simulator moved to flat events
-// and arena-recycled per-message state, only the outputs that must
-// escape allocate: the Schedule's phase slices (~48 allocations) and
-// the simulator's per-phase program headers (~22, cf. the committed
-// BenchmarkSimulatorRSNLReused baseline at 20 allocs/op). 150 is ~2x
-// the measured 71; a closure or per-event allocation creeping back
-// into the hot path blows past it immediately.
-const allocBudgetRoundTrip = 150
+// on reused core+machine. Since the simulator moved to flat events,
+// arena-recycled per-message state and machine-owned compile scratch,
+// only the outputs that must escape allocate: the Schedule's phase
+// slices (~48 allocations); the S1 run itself allocates nothing. 100
+// is ~2x the measured 49; a closure or per-event allocation creeping
+// back into the hot path blows past it immediately.
+const allocBudgetRoundTrip = 100
 
 func TestScheduleSimulateRoundTripAllocs(t *testing.T) {
 	cube := NewCube(6)

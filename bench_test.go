@@ -595,6 +595,11 @@ func BenchmarkSimulatorRSNLReused(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	// As in benchSimulatorTorus: warm the arenas so allocs/op is the
+	// steady state (zero, pinned by ipsc's TestReusedRunAllocs).
+	if _, err := mach.RunS1(s); err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -692,7 +697,8 @@ func BenchmarkSimulatorTorus_1024(b *testing.B) {
 // over a lazy route table, as the service builds it past the dense
 // hop budget: every probe, claim and release generates its route. Each
 // op builds a fresh Machine, as the service does per request at this
-// size, so allocs/op and B/op count the machine's O(n^2) arenas.
+// size, so allocs/op and B/op count the machine's O(n + channels +
+// messages) state and the programs and attempt arena it grows.
 func BenchmarkSimulatorTorus_4096(b *testing.B) {
 	benchSimulatorTorus(b, 64, topo.NewRouteTableLazy, false)
 }

@@ -46,12 +46,17 @@
 //     re-scan exactly);
 //   - barrier arrival counts and waiter lists are flat slices indexed
 //     by barrier id (phase number), recycled across runs;
+//   - S1 handshake state is per message, not per node pair: compilation
+//     numbers every S1 message with a slot, and the ready signals and
+//     arrivals live in two slot-indexed slices sized from the loaded
+//     programs, so a Machine holds O(n + channels + messages) state;
 //   - channel occupancy is a packed []uint64 bitset; when the Machine
 //     is built over a dense topo.RouteTable the free/claim/release
 //     walks go word-at-a-time through the table's precomputed masks;
 //   - per-run programs compile into a machine-owned [][]op arena whose
-//     inner capacities persist across runs (Run* methods only; the
-//     package-level Compile* functions still allocate fresh programs).
+//     inner capacities persist across runs, using machine-owned
+//     compile scratch (Run* methods only; the package-level Compile*
+//     functions still allocate fresh programs and scratch).
 //
 // After the first run on a given workload shape, Reset restores every
 // arena without freeing, so a reused Machine simulates allocation-free.
@@ -72,7 +77,8 @@ import (
 const (
 	// evAdvance resumes node a's program.
 	evAdvance int32 = iota
-	// evReady delivers receiver b's ready signal to sender a.
+	// evReady delivers the ready signal of S1 message slot b to its
+	// sender a.
 	evReady
 	// evBarrier releases barrier a, owned by (last-arriving) node b.
 	evBarrier
@@ -124,9 +130,19 @@ type Machine struct {
 	barrierWaiters [][]int32
 	// progs is the compile arena the Run* methods build per-node
 	// programs into; inner slices keep their capacity across runs.
-	// recvScratch is the compile-time receive-count scratch (S2, AC).
+	// recvScratch is the compile-time per-node scratch: receive counts
+	// for S2 and AC; op counts, then each phase's receive side, for
+	// S1. slotScratch holds the slots of one S1 phase's messages,
+	// indexed by sender.
 	progs       [][]op
 	recvScratch []int
+	slotScratch []int32
+	// S1 handshake state, indexed by message slot: ready marks a
+	// message whose receiver's ready signal has reached the sender,
+	// arrived one that has fully arrived. load sizes both from the
+	// programs; they keep their capacity across runs.
+	ready   []bool
+	arrived []bool
 	// stats
 	transfers int
 	exchanges int
@@ -148,15 +164,7 @@ type node struct {
 	// blocked marks a node waiting for an external event (signal,
 	// rendezvous, arrival, or resources). Its engine is idle, so it
 	// can absorb incoming circuits.
-	blocked bool
-	// readyFrom[r] is set when the ready signal from receiver r has
-	// arrived (S1). Each (sender, receiver) message is scheduled at
-	// most once, so a bool per peer suffices.
-	readyFrom []bool
-	// unread[s] counts messages from source s that have fully arrived
-	// but not yet been consumed by an opWaitRecv. int32 keeps the
-	// O(n^2) footprint at 64 MiB on a 4096-node machine.
-	unread   []int32
+	blocked  bool
 	received int // total messages absorbed (for opWaitAll)
 	expected int
 	done     bool
@@ -177,6 +185,7 @@ type attempt struct {
 	async    bool  // opSendAsync: completion decrements outstanding instead of advancing pc
 	src, dst int32 // for exchange: src < dst pair
 	next     int32 // next attempt parked on the same resource, or -1
+	slot     int32 // the S1 message slot it carries, or noSlot
 	bytes    int64
 	backSize int64 // exchange reverse direction
 	queuedAt float64
@@ -219,19 +228,13 @@ func NewMachine(net topo.Topology, params costmodel.Params) (*Machine, error) {
 		m.routes = rt
 	}
 	m.eng.SetHandler(m.handle)
-	// Per-node state is carved out of three contiguous allocations so a
-	// Machine costs O(1) allocations per node instead of O(n), and so
-	// Reset can clear it without freeing anything. The campaign runner
-	// keeps one Machine per worker and reuses it for every run.
+	// Per-node state is two contiguous O(n) allocations, which Reset
+	// clears without freeing anything. The campaign runner keeps one
+	// Machine per worker and reuses it for every run.
 	m.nodes = make([]node, n)
 	m.busy = make([]uint8, n)
-	ready := make([]bool, n*n)
-	unread := make([]int32, n*n)
 	for i := range m.nodes {
-		nd := &m.nodes[i]
-		nd.id = i
-		nd.readyFrom = ready[i*n : (i+1)*n : (i+1)*n]
-		nd.unread = unread[i*n : (i+1)*n : (i+1)*n]
+		m.nodes[i].id = i
 	}
 	return m, nil
 }
@@ -255,9 +258,10 @@ func (m *Machine) SetMaxEvents(v int64) {
 // Reset returns the machine to its initial state while keeping every
 // backing allocation: the event heap, the channel-occupancy bitset,
 // the route buffer, the attempt arena and its watch lists, the barrier
-// arenas, and all per-node vectors. After Reset the machine is
-// indistinguishable from a freshly built one, so a single Machine can
-// drive an arbitrarily long sequence of runs allocation-free.
+// arenas, and the per-node records (load resizes and clears the slot
+// state). After Reset the machine is indistinguishable from a freshly
+// built one, so a single Machine can drive an arbitrarily long
+// sequence of runs allocation-free.
 func (m *Machine) Reset() {
 	m.eng.Reset()
 	clear(m.chanBusy)
@@ -279,8 +283,6 @@ func (m *Machine) Reset() {
 		nd.program = nil
 		nd.pc = 0
 		nd.blocked = false
-		clear(nd.readyFrom)
-		clear(nd.unread)
 		nd.received = 0
 		nd.expected = 0
 		nd.done = false
@@ -318,7 +320,8 @@ func (m *Machine) run(programs [][]op) (Result, error) {
 }
 
 // load installs the per-node programs, tallies the arrivals each node
-// expects, and schedules every node's first advance at time 0.
+// expects, sizes the slot state, and schedules every node's first
+// advance at time 0.
 func (m *Machine) load(programs [][]op) error {
 	if len(programs) != len(m.nodes) {
 		return fmt.Errorf("ipsc: %d programs for %d nodes", len(programs), len(m.nodes))
@@ -326,10 +329,16 @@ func (m *Machine) load(programs [][]op) error {
 	// One pass over all programs tallies the expected arrivals of every
 	// node at once; the per-node scan this replaces cost O(n · totalOps)
 	// and dominated short-run setup.
+	slots := 0
 	for src, prog := range programs {
 		for _, o := range prog {
 			switch o.kind {
-			case opSendReady, opSendFire, opSendAsync:
+			case opPostRecv, opWaitRecv:
+				slots = max(slots, int(o.slot)+1)
+			case opSendReady:
+				slots = max(slots, int(o.slot)+1)
+				m.nodes[o.peer].expected++
+			case opSendFire, opSendAsync:
 				m.nodes[o.peer].expected++
 			case opExchange:
 				// Each endpoint's opExchange carries its outgoing
@@ -340,6 +349,10 @@ func (m *Machine) load(programs [][]op) error {
 			}
 		}
 	}
+	m.ready = slices.Grow(m.ready[:0], slots)[:slots]
+	m.arrived = slices.Grow(m.arrived[:0], slots)[:slots]
+	clear(m.ready)
+	clear(m.arrived)
 	for i := range m.nodes {
 		m.nodes[i].program = programs[i]
 	}
@@ -383,10 +396,10 @@ func (m *Machine) handle(kind, a, b int32) {
 		m.advance(&m.nodes[a])
 	case evReady:
 		sender := &m.nodes[a]
-		sender.readyFrom[b] = true
+		m.ready[b] = true
 		if sender.blocked && sender.pc < len(sender.program) {
 			so := sender.program[sender.pc]
-			if so.kind == opSendReady && so.peer == b {
+			if so.kind == opSendReady && so.slot == b {
 				m.advance(sender)
 			}
 		}
@@ -430,25 +443,25 @@ func (m *Machine) advance(nd *node) {
 			src := int(o.peer)
 			cost := m.params.PostOverheadUS
 			flight := m.params.SignalTime(m.hops(nd.id, src))
-			m.eng.AfterEvent(cost+flight, evReady, int32(src), int32(nd.id))
+			m.eng.AfterEvent(cost+flight, evReady, int32(src), o.slot)
 			nd.pc++
 			m.eng.AfterEvent(cost, evAdvance, int32(nd.id), 0)
 			return
 
 		case opSendReady:
-			if !nd.readyFrom[o.peer] {
+			if !m.ready[o.slot] {
 				nd.blocked = true
 				return
 			}
 			m.tryOrQueue(m.addAttempt(attempt{
-				src: int32(nd.id), dst: int32(o.peer), bytes: o.bytes,
+				src: int32(nd.id), dst: int32(o.peer), slot: o.slot, bytes: o.bytes,
 				queuedAt: m.eng.Now(),
 			}))
 			return
 
 		case opSendFire:
 			m.tryOrQueue(m.addAttempt(attempt{
-				src: int32(nd.id), dst: int32(o.peer), bytes: o.bytes,
+				src: int32(nd.id), dst: int32(o.peer), slot: noSlot, bytes: o.bytes,
 				queuedAt: m.eng.Now(),
 			}))
 			return
@@ -456,7 +469,7 @@ func (m *Machine) advance(nd *node) {
 		case opSendAsync:
 			nd.outstanding++
 			m.tryOrQueue(m.addAttempt(attempt{
-				async: true, src: int32(nd.id), dst: int32(o.peer), bytes: o.bytes,
+				async: true, src: int32(nd.id), dst: int32(o.peer), slot: noSlot, bytes: o.bytes,
 				queuedAt: m.eng.Now(),
 			}))
 			nd.pc++
@@ -490,8 +503,7 @@ func (m *Machine) advance(nd *node) {
 			return
 
 		case opWaitRecv:
-			if nd.unread[o.peer] > 0 {
-				nd.unread[o.peer]--
+			if m.arrived[o.slot] {
 				nd.pc++
 				continue
 			}
@@ -528,7 +540,7 @@ func (m *Machine) advance(nd *node) {
 			}
 			nd.blocked = true
 			m.tryOrQueue(m.addAttempt(attempt{
-				exchange: true, src: int32(lo), dst: int32(hi),
+				exchange: true, src: int32(lo), dst: int32(hi), slot: noSlot,
 				bytes: loBytes, backSize: hiBytes, queuedAt: m.eng.Now(),
 			}))
 			return
@@ -762,7 +774,9 @@ func (m *Machine) finishTransfer(ai int32) {
 	if !short {
 		m.releaseNode(a.dst, busyRx)
 	}
-	dst.unread[a.src]++
+	if a.slot != noSlot {
+		m.arrived[a.slot] = true
+	}
 	dst.received++
 	if a.async {
 		src.outstanding--
@@ -778,7 +792,7 @@ func (m *Machine) finishTransfer(ai int32) {
 	// Receiver may be waiting on this arrival.
 	if dst.blocked && dst.pc < len(dst.program) {
 		o := dst.program[dst.pc]
-		if (o.kind == opWaitRecv && o.peer == a.src) || o.kind == opWaitAll {
+		if (o.kind == opWaitRecv && o.slot == a.slot) || o.kind == opWaitAll {
 			m.advance(dst)
 		}
 	}
@@ -840,11 +854,9 @@ func (m *Machine) finishExchange(ai int32) {
 	lo.atExchange = false
 	hi.atExchange = false
 	if a.bytes > 0 {
-		hi.unread[a.src]++
 		hi.received++
 	}
 	if a.backSize > 0 {
-		lo.unread[a.dst]++
 		lo.received++
 	}
 	lo.pc++

@@ -175,6 +175,32 @@ func TestReadySignalGatesTransfer(t *testing.T) {
 	}
 }
 
+// TestS1RepeatedPairWaitsForItsOwnSignal pins per-message S1
+// handshakes: when a schedule sends 0->1 twice, the second send must
+// wait for node 1 to post that message's buffer, not start on the
+// ready signal the first message left behind. Node 1 posts for the
+// second 0->1 message only after the 1 MiB message from node 2 has
+// arrived, so the second send starts without contention. A ready flag
+// per (sender, receiver) pair instead fired it early, where it queued
+// behind the 1 MiB transfer at the receiver: makespan 376411.024 µs,
+// ResourceWaitUS 1508.272.
+func TestS1RepeatedPairWaitsForItsOwnSignal(t *testing.T) {
+	s := &sched.Schedule{Algorithm: "RS_NL", N: 4}
+	for _, msg := range [][3]int64{{0, 1, 64}, {2, 1, 1 << 20}, {0, 1, 4096}} {
+		p := sched.NewPhase(4)
+		p.Send[msg[0]], p.Bytes[msg[0]] = int(msg[1]), msg[2]
+		s.Phases = append(s.Phases, p)
+	}
+	res, err := RunS1(hypercube.MustNew(2), params(), s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Result{MakespanUS: 376596.024, Transfers: 3}
+	if res != want {
+		t.Errorf("RunS1 = %+v, want %+v", res, want)
+	}
+}
+
 func TestDeadlockDetected(t *testing.T) {
 	// A receive that never gets a matching send must be reported, not
 	// spin or hang.

@@ -2,6 +2,7 @@ package ipsc
 
 import (
 	"fmt"
+	"slices"
 
 	"unsched/internal/comm"
 	"unsched/internal/costmodel"
@@ -18,16 +19,17 @@ const (
 	// opDelay charges fixed CPU time (phase loop overhead, buffer
 	// posting batches).
 	opDelay opKind = iota
-	// opPostRecv posts a receive buffer for a message from peer and
+	// opPostRecv posts a receive buffer for message slot from peer and
 	// fires the 0-byte ready signal to it (S1).
 	opPostRecv
-	// opSendReady waits for peer's ready signal, then acquires the
-	// circuit and transfers bytes (S1 send).
+	// opSendReady waits for the ready signal of message slot, then
+	// acquires the circuit to peer and transfers bytes (S1 send).
 	opSendReady
 	// opSendFire acquires the circuit and transfers without waiting
 	// for a ready signal (S2 send; receives are pre-posted).
 	opSendFire
-	// opWaitRecv blocks until the message from peer has fully arrived.
+	// opWaitRecv blocks until message slot (from peer) has fully
+	// arrived (S1).
 	opWaitRecv
 	// opWaitAll blocks until every message destined to this node has
 	// arrived (S2's final confirmation step).
@@ -51,27 +53,34 @@ const (
 	opBarrier
 )
 
-// op is one program step: 24 bytes, so a node's program stays dense in
+// op is one program step: 32 bytes, so a node's program stays dense in
 // cache while advance() walks it. peer is an int32 node id.
 type op struct {
 	bytes int64
 	cost  float64 // opDelay only
 	kind  opKind
 	peer  int32
+	// slot numbers the S1 message an opPostRecv, opSendReady or
+	// opWaitRecv belongs to; the sender's and the receiver's ops of
+	// one message carry the same slot. Other ops leave it zero.
+	slot int32
 }
+
+// noSlot marks an attempt that carries no S1 message slot.
+const noSlot int32 = -1
 
 func (o op) String() string {
 	switch o.kind {
 	case opDelay:
 		return fmt.Sprintf("delay(%.1fµs)", o.cost)
 	case opPostRecv:
-		return fmt.Sprintf("post(from=%d)", o.peer)
+		return fmt.Sprintf("post(from=%d,slot=%d)", o.peer, o.slot)
 	case opSendReady:
-		return fmt.Sprintf("sendReady(to=%d,%dB)", o.peer, o.bytes)
+		return fmt.Sprintf("sendReady(to=%d,%dB,slot=%d)", o.peer, o.bytes, o.slot)
 	case opSendFire:
 		return fmt.Sprintf("sendFire(to=%d,%dB)", o.peer, o.bytes)
 	case opWaitRecv:
-		return fmt.Sprintf("waitRecv(from=%d)", o.peer)
+		return fmt.Sprintf("waitRecv(from=%d,slot=%d)", o.peer, o.slot)
 	case opWaitAll:
 		return "waitAll"
 	case opExchange:
@@ -96,17 +105,61 @@ func (o op) String() string {
 // confirmed at the end, like S2's final step. This is the execution
 // the paper uses for LP and RS_NL.
 func CompileS1(s *sched.Schedule, params costmodel.Params) [][]op {
-	return appendS1(make([][]op, s.N), s, params, false)
+	return appendS1(make([][]op, s.N), s, params, false, make([]int, s.N), make([]int32, s.N))
 }
 
 // appendS1 compiles S1 programs into the given per-node slices,
 // appending to whatever capacity they hold — the arena-reusing form
 // behind CompileS1 and Machine.RunS1. withBarriers interleaves a
 // global barrier after every phase (the CompileS1Barrier variant).
-func appendS1(programs [][]op, s *sched.Schedule, params costmodel.Params, withBarriers bool) [][]op {
+// recv and slot (len >= s.N) are scratch: recv holds each node's op
+// count, then each phase's receive side; slot holds the slot of each
+// sender's message in the phase.
+//
+// Every message that is not half of a pairwise exchange gets the next
+// slot, in phase order and by sender within a phase; its sender's
+// opSendReady and its receiver's opPostRecv and opWaitRecv carry it.
+func appendS1(programs [][]op, s *sched.Schedule, params costmodel.Params, withBarriers bool, recv []int, slot []int32) [][]op {
 	n := s.N
+	recv, slot = recv[:n], slot[:n]
+	// Size every program for its ops first, so a fresh machine
+	// allocates each program once rather than growing it by doubling.
+	perPhase := 1
+	if withBarriers {
+		perPhase = 2
+	}
+	for i := range recv {
+		recv[i] = perPhase * len(s.Phases)
+	}
+	for _, p := range s.Phases {
+		for i, j := range p.Send {
+			switch {
+			case j < 0:
+			case p.Send[j] == i: // one half of an exchange
+				recv[i]++
+			default: // a send at i; a post and a wait at j
+				recv[i]++
+				recv[j] += 2
+			}
+		}
+	}
+	for i := range programs {
+		programs[i] = slices.Grow(programs[i], recv[i])
+	}
+	next := int32(0)
 	for k, p := range s.Phases {
-		recv := p.Recv()
+		for i := range recv {
+			recv[i] = -1
+		}
+		for i, j := range p.Send {
+			if j >= 0 {
+				recv[j] = i
+				if p.Send[j] != i {
+					slot[i] = next
+					next++
+				}
+			}
+		}
 		for i := 0; i < n; i++ {
 			programs[i] = append(programs[i], op{kind: opDelay, cost: params.LoopOverheadUS})
 			j := p.Send[i]
@@ -123,13 +176,13 @@ func appendS1(programs [][]op, s *sched.Schedule, params costmodel.Params, withB
 				// and with them, the contention-freedom the scheduler
 				// arranged.
 				if r >= 0 {
-					programs[i] = append(programs[i], op{kind: opPostRecv, peer: int32(r)})
+					programs[i] = append(programs[i], op{kind: opPostRecv, peer: int32(r), slot: slot[r]})
 				}
 				if j >= 0 {
-					programs[i] = append(programs[i], op{kind: opSendReady, peer: int32(j), bytes: p.Bytes[i]})
+					programs[i] = append(programs[i], op{kind: opSendReady, peer: int32(j), bytes: p.Bytes[i], slot: slot[i]})
 				}
 				if r >= 0 {
-					programs[i] = append(programs[i], op{kind: opWaitRecv, peer: int32(r)})
+					programs[i] = append(programs[i], op{kind: opWaitRecv, peer: int32(r), slot: slot[r]})
 				}
 			}
 			if withBarriers {
@@ -146,7 +199,7 @@ func appendS1(programs [][]op, s *sched.Schedule, params costmodel.Params, withB
 // (§6). It exists for the ablation benchmark that prices loose
 // synchrony against global synchronization.
 func CompileS1Barrier(s *sched.Schedule, params costmodel.Params) [][]op {
-	return appendS1(make([][]op, s.N), s, params, true)
+	return appendS1(make([][]op, s.N), s, params, true, make([]int, s.N), make([]int32, s.N))
 }
 
 // RunS1Barrier simulates the schedule under S1 with a global barrier
@@ -166,7 +219,7 @@ func (m *Machine) RunS1Barrier(s *sched.Schedule) (Result, error) {
 		return Result{}, fmt.Errorf("ipsc: topology %d nodes vs schedule %d", m.net.Nodes(), s.N)
 	}
 	m.Reset()
-	return m.run(appendS1(m.progArena(), s, m.params, true))
+	return m.run(appendS1(m.progArena(), s, m.params, true, m.recvArena(), m.slotArena()))
 }
 
 // CompileS2 translates a phase schedule into per-node programs under
@@ -363,7 +416,7 @@ func (m *Machine) RunS1(s *sched.Schedule) (Result, error) {
 		return Result{}, fmt.Errorf("ipsc: topology %d nodes vs schedule %d", m.net.Nodes(), s.N)
 	}
 	m.Reset()
-	return m.run(appendS1(m.progArena(), s, m.params, false))
+	return m.run(appendS1(m.progArena(), s, m.params, false, m.recvArena(), m.slotArena()))
 }
 
 // RunS2 simulates the schedule under the S2 protocol.
@@ -419,10 +472,18 @@ func (m *Machine) progArena() [][]op {
 	return progs
 }
 
-// recvArena returns the reusable receive-count scratch (S2 and AC).
+// recvArena returns the reusable per-node receive scratch.
 func (m *Machine) recvArena() []int {
 	if n := len(m.nodes); cap(m.recvScratch) < n {
 		m.recvScratch = make([]int, n)
 	}
 	return m.recvScratch[:len(m.nodes)]
+}
+
+// slotArena returns the reusable per-node slot scratch (S1).
+func (m *Machine) slotArena() []int32 {
+	if n := len(m.nodes); cap(m.slotScratch) < n {
+		m.slotScratch = make([]int32, n)
+	}
+	return m.slotScratch[:len(m.nodes)]
 }

@@ -332,6 +332,32 @@ func TestSimulateBadRequests(t *testing.T) {
 	}
 }
 
+// TestSimulateRejectsRepeatedPair checks that a schedule sending the
+// same (src, dst) pair in two phases is refused with 400 bad_request:
+// no scheduler emits one, and its S1 answer would differ from the one
+// an earlier server cached for the same key.
+func TestSimulateRejectsRepeatedPair(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 1})
+	repeated := &WireSchedule{Algorithm: "RS_NL", N: 4, Phases: []WirePhase{
+		{{0, 1, 64}}, {{2, 1, 1 << 20}}, {{0, 1, 4096}},
+	}}
+	var env ErrorEnvelope
+	status, raw := postJSON(t, ts.URL+"/v1/simulate", SimulateRequest{Schedule: repeated, Protocol: "S1"}, &env)
+	if status != http.StatusBadRequest || env.Err.Code != CodeBadRequest {
+		t.Fatalf("repeated pair: status %d, body %s; want 400 %s", status, raw, CodeBadRequest)
+	}
+	if !strings.Contains(env.Err.Message, "P0->P1 scheduled twice") {
+		t.Errorf("message %q should name the repeated pair", env.Err.Message)
+	}
+	// The same messages in other phases are fine once each.
+	distinct := &WireSchedule{Algorithm: "RS_NL", N: 4, Phases: []WirePhase{
+		{{0, 1, 64}, {1, 0, 64}}, {{2, 1, 1 << 20}},
+	}}
+	if status, raw := postJSON(t, ts.URL+"/v1/simulate", SimulateRequest{Schedule: distinct, Protocol: "S1"}, nil); status != http.StatusOK {
+		t.Errorf("distinct pairs: status %d, body %s", status, raw)
+	}
+}
+
 func TestCampaignEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 2})
 	req := CampaignRequest{Densities: []int{2}, Sizes: []int64{256}, Samples: 2, Seed: 11, Dim: 3}

@@ -484,8 +484,8 @@ var knownScheduleAlgorithms = map[string]bool{
 }
 
 // resolveSchedule validates the wire schedule and builds the phase
-// form, rejecting unknown algorithm tags, node contention, and
-// out-of-range entries.
+// form, rejecting unknown algorithm tags, node contention, repeated
+// (src, dst) pairs, and out-of-range entries.
 func resolveSchedule(sj *WireSchedule) (*sched.Schedule, error) {
 	if sj == nil {
 		return nil, badRequest("missing schedule")
@@ -515,9 +515,10 @@ func resolveSchedule(sj *WireSchedule) (*sched.Schedule, error) {
 		return nil, badRequest("schedule has %d phases for n=%d; limit %d", len(sj.Phases), n, 4*n)
 	}
 	s := &sched.Schedule{Algorithm: sj.Algorithm, N: n, Ops: sj.Ops}
+	recvBusy := make([]bool, n)
 	for k, pj := range sj.Phases {
 		p := sched.NewPhase(n)
-		recvBusy := make([]bool, n)
+		clear(recvBusy)
 		for _, msg := range pj {
 			src, dst, bytes := msg[0], msg[1], msg[2]
 			if src < 0 || src >= int64(n) || dst < 0 || dst >= int64(n) {
@@ -540,6 +541,26 @@ func resolveSchedule(sj *WireSchedule) (*sched.Schedule, error) {
 			recvBusy[dst] = true
 		}
 		s.Phases = append(s.Phases, p)
+	}
+	// Each (src, dst) pair may be scheduled once, as in every schedule
+	// the schedulers emit (Schedule.Validate). Earlier servers
+	// simulated a repeated pair under S1 with a stale ready signal and
+	// cached that answer under a key that carries no model version, so
+	// such a schedule is refused rather than answered differently.
+	// Walking one sender's phases at a time, sentBy[dst] = src+1 marks
+	// a pair already seen.
+	sentBy := make([]int32, n)
+	for src := 0; src < n; src++ {
+		for _, p := range s.Phases {
+			dst := p.Send[src]
+			if dst < 0 {
+				continue
+			}
+			if sentBy[dst] == int32(src+1) {
+				return nil, badRequest("message P%d->P%d scheduled twice", src, dst)
+			}
+			sentBy[dst] = int32(src + 1)
+		}
 	}
 	return s, nil
 }

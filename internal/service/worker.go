@@ -104,18 +104,20 @@ type machineKey struct {
 
 // maxMachinesPerWorker bounds the per-worker machine cache; requests
 // name topologies freely, so an adversarial mix could otherwise grow
-// it without limit. Machine state is O(n^2) — ~5 MB at 1024 nodes —
-// so 4 machines bounds a worker's retained simulator memory near
-// ~20 MB even under a worst-case topology mix; real deployments hit
-// one or two topologies and never evict.
+// it without limit. Machine state is O(n + channels + messages), and
+// a warm machine keeps the program, attempt and event arenas its
+// largest run grew — a few MB at 1024 nodes — so 4 machines bound a
+// worker's retained simulator memory even under a worst-case topology
+// mix; real deployments hit one or two topologies and never evict.
 const maxMachinesPerWorker = 4
 
 // maxCachedMachineNodes bounds the machines (and scheduler cores) a
-// worker retains across requests. A 4096-node machine's O(n^2) ready
-// and unread arenas run ~80 MB; caching even one per worker would dwarf every
-// other bound, so machines above this size are built per request and
-// released with it. The requests that need them are rare and already
-// pay seconds of scheduling, so the rebuild is noise.
+// worker retains across requests; larger ones are built per request
+// and released with it. Building one is cheap (a 4096-node machine
+// allocates under 1 MB), but a cached one keeps its largest run's
+// arenas for the worker's lifetime: caching the 4096-node machines
+// and cores per worker raised the scale-cold benchmark's
+// peak_heap_mib by about 110–150 MiB, with no CPU gain.
 const maxCachedMachineNodes = 1 << maxCampaignDim
 
 // machine returns the worker's reusable machine for (net, params),
