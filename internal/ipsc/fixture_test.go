@@ -28,7 +28,9 @@ type simFixture struct {
 
 // simFixtures covers every protocol on the paper's machine (long and
 // short messages), the S1/S2 scheduler pairs at the service caps on
-// dense and lazy route tables, and a plain mesh.
+// dense and lazy route tables, a plain mesh, and non-square meshes and
+// tori (one with odd sides, wrapping on both axes), where swapping the
+// width and height anywhere in the channel layout would show.
 var simFixtures = []simFixture{
 	{"cube:6", false, 16, 4096, "RS_NL/S1", 0x40f182db22d0e55d, 0x411ae283e76c8b38, 908, 58},
 	{"cube:6", false, 16, 4096, "RS_N/S2", 0x40f022ae147ae145, 0x413a335dac0830fc, 1024, 0},
@@ -46,6 +48,11 @@ var simFixtures = []simFixture{
 	{"cube:12", true, 8, 4096, "RS_NL/S1", 0x40ee807958106249, 0x417080b931cabf64, 32744, 12},
 	{"torus:64x64", true, 8, 4096, "RS_N/S2", 0x410f3638b4395806, 0x41c33d59b52c0ba0, 32768, 0},
 	{"torus:64x64", true, 8, 4096, "RS_NL/S1", 0x41164bc4ed91686b, 0x419af018d7020a96, 32752, 8},
+	{"torus:64x16", true, 8, 4096, "RS_NL/S1", 0x41117d4676c8b434, 0x416e183c56041730, 8154, 19},
+	{"torus:64x16", true, 8, 4096, "RS_N/S2", 0x4107ed447ae147a6, 0x419dadedd9fbe5df, 8192, 0},
+	{"mesh:32x8", false, 8, 4096, "RS_NL/S1", 0x410a69daf1a9fbdf, 0x41432f44bc6a7ebe, 2010, 19},
+	{"mesh:32x8", false, 8, 4096, "RS_N/S2", 0x4100db79ba5e353b, 0x4176ad82c0a3d6a5, 2048, 0},
+	{"torus:7x5", false, 8, 4096, "RS_NL/S1", 0x40e41fb0e5604189, 0x40fc8c0db22d0e4e, 234, 23},
 }
 
 // runFixture builds the fixture's machine, matrix and schedule from
