@@ -91,8 +91,9 @@ type (
 	SchedCore = sched.Core
 	// RouteTable is a CSR-packed precomputation of all n^2
 	// deterministic routes of a Topology: built once (O(n^2 * diameter)
-	// memory), immutable, safe to share across any number of cores and
-	// goroutines.
+	// memory; none for a mesh or torus, whose routes are closed-form
+	// runs of channel ids), immutable, safe to share across any number
+	// of cores and goroutines.
 	RouteTable = topo.RouteTable
 	// Server is the unschedd scheduling service: schedule/simulate/
 	// campaign endpoints over a bounded worker pool with a

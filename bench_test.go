@@ -647,10 +647,12 @@ func BenchmarkSimulatorRSNL_1024(b *testing.B) {
 // without waiting for the receiver, so thousands of circuits contend
 // for channels and receivers at once: the benchmark measures the
 // simulator's wake-up path under the heaviest blocking the service
-// accepts. With reuse, one warmed Machine runs every op; without, each
-// op builds a fresh Machine over the shared route table.
-func benchSimulatorTorus(b *testing.B, side int, table func(topo.Topology) *topo.RouteTable, reuse bool) {
-	net := table(mesh.MustNew(side, side, true))
+// accepts. The route table is closed-form, as the service builds it:
+// every probe, claim and release masks the route's runs of channel
+// ids. With reuse, one warmed Machine runs every op; without, each op
+// builds a fresh Machine over the shared table.
+func benchSimulatorTorus(b *testing.B, side int, reuse bool) {
+	net := topo.NewRouteTable(mesh.MustNew(side, side, true))
 	params := costmodel.DefaultIPSC860()
 	rng := rand.New(rand.NewSource(11))
 	m, err := comm.DRegular(net.Nodes(), 8, 4096, rng)
@@ -686,21 +688,19 @@ func benchSimulatorTorus(b *testing.B, side int, table func(topo.Topology) *topo
 }
 
 // BenchmarkSimulatorTorus_1024 is the 1024-node torus (torus:32x32)
-// on one reused Machine over a dense route table, the campaign-worker
-// configuration. Its steady state allocates nothing (pinned by
-// ipsc's TestReusedRunAllocsSteadyState).
+// on one reused Machine, the campaign-worker configuration. Its steady
+// state allocates nothing (pinned by ipsc's
+// TestReusedRunAllocsSteadyState).
 func BenchmarkSimulatorTorus_1024(b *testing.B) {
-	benchSimulatorTorus(b, 32, topo.NewRouteTable, true)
+	benchSimulatorTorus(b, 32, true)
 }
 
-// BenchmarkSimulatorTorus_4096 is the 4096-node torus (torus:64x64)
-// over a lazy route table, as the service builds it past the dense
-// hop budget: every probe, claim and release generates its route. Each
-// op builds a fresh Machine, as the service does per request at this
-// size, so allocs/op and B/op count the machine's O(n + channels +
-// messages) state and the programs and attempt arena it grows.
+// BenchmarkSimulatorTorus_4096 is the 4096-node torus (torus:64x64).
+// Each op builds a fresh Machine, as the service does per request at
+// this size, so allocs/op and B/op count the machine's O(n + channels
+// + messages) state and the programs and attempt arena it grows.
 func BenchmarkSimulatorTorus_4096(b *testing.B) {
-	benchSimulatorTorus(b, 64, topo.NewRouteTableLazy, false)
+	benchSimulatorTorus(b, 64, false)
 }
 
 // BenchmarkRouteTableBitset is the occupancy micro-benchmark under the
@@ -752,6 +752,25 @@ func benchSchedMatrix(b *testing.B) *comm.Matrix {
 func BenchmarkSchedCoreRSNLReused(b *testing.B) {
 	m := benchSchedMatrix(b)
 	core := sched.NewCore(hypercube.MustNew(6))
+	rng := rand.New(rand.NewSource(1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.RSNL(m, rng); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSchedCoreRSNLTorus_1024 is RS_NL on the 1024-node torus
+// (torus:32x32) at d=8 on one reused core: Check_Path and Mark_Path
+// mask the closed-form runs of each XY route, with no route table.
+func BenchmarkSchedCoreRSNLTorus_1024(b *testing.B) {
+	m, err := comm.DRegular(1024, 8, 4096, rand.New(rand.NewSource(10)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	core := sched.NewCore(mesh.MustNew(32, 32, true))
 	rng := rand.New(rand.NewSource(1))
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -102,7 +102,10 @@
 // the size of PATHS can be much smaller". NewRouteTable precomputes
 // all n^2 routes of a Topology into a CSR-packed read-only table
 // (O(n^2 * diameter) memory: ~64 KB for the 64-node cube), built once
-// and shared across any number of goroutines. Precomputation costs
+// and shared across any number of goroutines. A mesh or torus needs no
+// precomputation: each XY route is at most four runs of consecutive
+// channel ids, computed in closed form, so its table stores nothing.
+// Precomputation costs
 // one route generation per pair, so it pays off as soon as a topology
 // serves more than a handful of schedules; for one-shot scheduling the
 // package-level functions keep generating routes on the fly.

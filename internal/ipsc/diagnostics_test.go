@@ -232,10 +232,54 @@ func checkWatchInvariant(t *testing.T, m *Machine, step int) (exchanges int) {
 	if parked != m.parked {
 		t.Fatalf("event %d: %d attempts on watch lists, parked count %d", step, parked, m.parked)
 	}
+	for r := 0; r < int(m.nch); r++ {
+		if marked := m.watched[r>>6]&(uint64(1)<<(uint(r)&63)) != 0; marked != (m.watch[r] >= 0) {
+			t.Fatalf("event %d: channel %d watched bit %v, watch list head %d", step, r, marked, m.watch[r])
+		}
+	}
 	if len(m.woken) != 0 {
 		t.Fatalf("event %d: %d woken attempts left unretried", step, len(m.woken))
 	}
 	return exchanges
+}
+
+// TestBusyChannelIsFirstInRouteOrder checks that the blocker a route
+// reports is its first busy channel in route order — on mesh and torus
+// runs crossed downward and split by the wraparound, on a dense table,
+// and on generated routes — against a walk of RouteIDs, over random
+// occupancy. Which busy channel an attempt parks on does not change
+// Results (retryPending), so only this test pins the order.
+func TestBusyChannelIsFirstInRouteOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	for _, net := range []topo.Topology{
+		mesh.MustNew(7, 5, true), mesh.MustNew(5, 3, false), mesh.MustNew(16, 4, true),
+		topo.NewRouteTable(hypercube.MustNew(4)), hypercube.MustNew(4),
+	} {
+		m, err := NewMachine(net, params())
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := net.Nodes()
+		for fill := 0; fill < 50; fill++ {
+			for w := range m.chanBusy {
+				m.chanBusy[w] = rng.Uint64() & rng.Uint64() & rng.Uint64()
+			}
+			for k := 0; k < 200; k++ {
+				src, dst := rng.Intn(n), rng.Intn(n)
+				want := int32(-1)
+				for _, id := range net.RouteIDs(src, dst, nil) {
+					if m.chanBusy[id>>6]&(uint64(1)<<(uint(id)&63)) != 0 {
+						want = int32(id)
+						break
+					}
+				}
+				if got := m.busyChannel(src, dst); got != want {
+					t.Fatalf("%s: busyChannel(%d,%d) = %d, first busy channel in route order %d",
+						net.Name(), src, dst, got, want)
+				}
+			}
+		}
+	}
 }
 
 // TestMachinesShareRouteTableConcurrently is the campaign-worker

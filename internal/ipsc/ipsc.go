@@ -50,9 +50,11 @@
 //     numbers every S1 message with a slot, and the ready signals and
 //     arrivals live in two slot-indexed slices sized from the loaded
 //     programs, so a Machine holds O(n + channels + messages) state;
-//   - channel occupancy is a packed []uint64 bitset; when the Machine
-//     is built over a dense topo.RouteTable the free/claim/release
-//     walks go word-at-a-time through the table's precomputed masks;
+//   - channel occupancy is a packed topo.Bitset. On a mesh or torus a
+//     route is at most four runs of consecutive channel ids
+//     (mesh.RouteRuns), so the free/claim/release walks test and set
+//     whole runs a word at a time; over a dense topo.RouteTable they
+//     go word-at-a-time through the table's precomputed masks;
 //   - per-run programs compile into a machine-owned [][]op arena whose
 //     inner capacities persist across runs, using machine-owned
 //     compile scratch (Run* methods only; the package-level Compile*
@@ -69,6 +71,7 @@ import (
 
 	"unsched/internal/costmodel"
 	"unsched/internal/des"
+	"unsched/internal/mesh"
 	"unsched/internal/topo"
 )
 
@@ -94,18 +97,21 @@ const (
 // sequence without reallocating. A Machine is not safe for concurrent
 // use; create one per goroutine.
 //
-// Passing a *topo.RouteTable as the topology (a RouteTable is itself a
-// Topology) switches channel-occupancy checks to the table's
-// word-at-a-time bitset masks; any other topology routes on the fly.
+// A mesh or torus, bare or under any route table, routes through its
+// closed-form runs of channel ids. Passing a dense *topo.RouteTable as
+// the topology (a RouteTable is itself a Topology) switches
+// channel-occupancy checks to the table's word-at-a-time bitset masks;
+// any other topology routes on the fly.
 type Machine struct {
 	net    topo.Topology
-	routes *topo.RouteTable // non-nil: dense table, word-mask occupancy path
+	routes *topo.RouteTable // non-nil: dense or closed-form table (topo.TableOf)
+	grid   *mesh.Mesh       // non-nil: routes are closed-form runs
 	params costmodel.Params
 	eng    *des.Engine
 	nodes  []node
 	// chanBusy is the packed channel-occupancy bitset: bit i marks
 	// directed channel i held by an active circuit.
-	chanBusy []uint64
+	chanBusy topo.Bitset
 	// busy packs each node's circuit occupancy into one byte —
 	// busyTx for an active outgoing transfer, busyRx for an incoming
 	// one. tryStart probes these for random peers on every retry, so
@@ -120,10 +126,14 @@ type Machine struct {
 	// node r-nch's busy byte from nch on. -1 ends a list. parked counts
 	// the attempts on all lists; woken collects those drained by the
 	// releases of the current event for retryPending.
-	watch  []int32
-	nch    int32
-	parked int
-	woken  []int32
+	// watched marks the channels whose watch list is not empty, so a
+	// release on the run path finds the attempts to wake a word at a
+	// time.
+	watch   []int32
+	watched topo.Bitset
+	nch     int32
+	parked  int
+	woken   []int32
 	// barrier state, indexed by barrier id (= phase number): arrival
 	// counts and blocked-node lists, grown on demand and recycled.
 	barrierCount   []int32
@@ -148,6 +158,7 @@ type Machine struct {
 	exchanges int
 	waitedUS  float64 // total time attempts spent blocked on resources
 	maxEvents int64
+	runs      [4]mesh.Run // RouteRuns buffer: an XY route has at most four
 }
 
 // busy byte bits: an active outgoing circuit and an active incoming
@@ -218,14 +229,18 @@ func NewMachine(net topo.Topology, params costmodel.Params) (*Machine, error) {
 		net:       net,
 		params:    params,
 		eng:       des.New(),
-		chanBusy:  make([]uint64, topo.BitsetWords(nch)),
+		routes:    topo.TableOf(net),
 		watch:     make([]int32, nch+n),
 		nch:       int32(nch),
 		maxEvents: int64(n) * 1_000_000,
 	}
+	// The busy and watched bitsets share one allocation.
+	words := topo.BitsetWords(nch)
+	bits := make(topo.Bitset, 2*words)
+	m.chanBusy, m.watched = bits[:words:words], bits[words:]
 	clearWatch(m.watch)
-	if rt, ok := net.(*topo.RouteTable); ok && !rt.Lazy() {
-		m.routes = rt
+	if m.routes != nil {
+		m.grid = m.routes.Grid()
 	}
 	m.eng.SetHandler(m.handle)
 	// Per-node state is two contiguous O(n) allocations, which Reset
@@ -268,6 +283,7 @@ func (m *Machine) Reset() {
 	m.routeBuf = m.routeBuf[:0]
 	m.attempts = m.attempts[:0]
 	clearWatch(m.watch)
+	clear(m.watched)
 	m.parked = 0
 	m.woken = m.woken[:0]
 	for i := range m.barrierCount {
@@ -592,6 +608,9 @@ func (m *Machine) park(ai, r int32) {
 	m.attempts[ai].next = m.watch[r]
 	m.watch[r] = ai
 	m.parked++
+	if r < m.nch {
+		m.watched[r>>6] |= uint64(1) << (uint(r) & 63)
+	}
 }
 
 // wake empties the watch list of resource r into the woken set.
@@ -601,6 +620,9 @@ func (m *Machine) wake(r int32) {
 		m.parked--
 	}
 	m.watch[r] = -1
+	if r < m.nch {
+		m.watched[r>>6] &^= uint64(1) << (uint(r) & 63)
+	}
 }
 
 // retryPending re-tries the attempts woken by the current event's
@@ -642,11 +664,28 @@ func (m *Machine) retryPending() {
 }
 
 // busyChannel returns the first busy channel of the deterministic
-// route src->dst, or -1 if the whole route is free. Over a dense route
-// table the free test is word-at-a-time through the table's masks and
-// only a blocked route is walked hop by hop; otherwise the route is
-// generated and tested bit by bit.
+// route src->dst, or -1 if the whole route is free. On a mesh or torus
+// each run is searched a word at a time, from its low end when the
+// route crosses it upward and from its high end when downward, so the
+// channel found is the first busy one in route order. Over a dense
+// route table the free test is word-at-a-time through the table's
+// masks and only a blocked route is walked hop by hop; otherwise the
+// route is generated and tested bit by bit.
 func (m *Machine) busyChannel(src, dst int) int32 {
+	if m.grid != nil {
+		for _, r := range m.grid.RouteRuns(src, dst, m.runs[:0]) {
+			c := -1
+			if r.First <= r.Last {
+				c = m.chanBusy.FirstIn(r.First, r.Last)
+			} else {
+				c = m.chanBusy.LastIn(r.Last, r.First)
+			}
+			if c >= 0 {
+				return int32(c)
+			}
+		}
+		return -1
+	}
 	if m.routes != nil {
 		if !m.routes.RouteFree(m.chanBusy, src, dst) {
 			for _, id := range m.routes.Route(src, dst) {
@@ -679,8 +718,20 @@ func (m *Machine) claimRoute(src, dst int) {
 }
 
 // releaseRoute frees every channel of the route src->dst and wakes the
-// attempts parked on them.
+// attempts parked on them. On a mesh or torus each run is cleared a
+// word at a time and only its watched channels are visited; the wake
+// order does not matter, because retryPending sorts the woken set.
 func (m *Machine) releaseRoute(src, dst int) {
+	if m.grid != nil {
+		for _, r := range m.grid.RouteRuns(src, dst, m.runs[:0]) {
+			lo, hi := r.Span()
+			m.chanBusy.ClearIn(lo, hi)
+			for c := m.watched.FirstIn(lo, hi); c >= 0; c = m.watched.FirstIn(c+1, hi) {
+				m.wake(int32(c))
+			}
+		}
+		return
+	}
 	if m.routes != nil {
 		for _, id := range m.routes.Route(src, dst) {
 			m.releaseChannel(id)
@@ -708,9 +759,9 @@ func (m *Machine) releaseNode(v int32, bits uint8) {
 }
 
 // hops returns the route length, bypassing the Topology interface
-// dispatch when a dense route table is attached: Hops is called on
-// every transfer start and every receive posting, and the table lookup
-// is two adjacent int32 loads.
+// dispatch when a table is attached: Hops is called on every transfer
+// start and every receive posting, and the table answers with two
+// adjacent int32 loads (dense) or closed-form arithmetic (mesh).
 func (m *Machine) hops(src, dst int) int {
 	if m.routes != nil {
 		return m.routes.Hops(src, dst)

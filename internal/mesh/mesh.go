@@ -63,12 +63,16 @@ func (m *Mesh) Coord(node int) (x, y int) { return node % m.w, node / m.w }
 // ID returns the node id at (x, y).
 func (m *Mesh) ID(x, y int) int { return y*m.w + x }
 
-// Directed channel layout: four direction planes of w*h slots each.
-// The +X channel of node v occupies plane 0 slot v (the channel from v
-// toward x+1), -X plane 1, +Y plane 2, -Y plane 3. Mesh-edge slots at
-// the boundary exist only on a torus; on a plain mesh they are never
-// routed through, which wastes a few indices but keeps the arithmetic
-// branch-free.
+// Directed channel layout: four direction planes of w*h slots each,
+// +X, -X, +Y, -Y in that order. The channel from node (x, y) in
+// direction dir leaves (x, y) toward the neighbour in that direction.
+// The X planes are row-major (slot y*w + x) and the Y planes
+// column-major (slot x*h + y), so the hops of one axis leg — a walk
+// along a row or a column in one direction — are consecutive ids, and
+// an XY route is at most four runs of them (RouteRuns). Mesh-edge
+// slots at the boundary exist only on a torus; on a plain mesh they
+// are never routed through, which wastes a few indices but keeps the
+// arithmetic branch-free.
 const (
 	dirXPlus = iota
 	dirXMinus
@@ -80,7 +84,79 @@ const (
 // NumChannels implements topo.Topology.
 func (m *Mesh) NumChannels() int { return dirCount * m.w * m.h }
 
-func (m *Mesh) channel(node, dir int) int { return dir*m.w*m.h + node }
+// channel returns the id of the channel leaving (x, y) in direction
+// dir.
+func (m *Mesh) channel(x, y, dir int) int {
+	if dir < dirYPlus {
+		return dir*m.w*m.h + y*m.w + x
+	}
+	return dir*m.w*m.h + x*m.h + y
+}
+
+// Run is a run of consecutive channel ids that a route crosses in
+// order from First to Last, both inclusive. First > Last means the run
+// is crossed from high ids to low.
+type Run struct{ First, Last int }
+
+// Span returns the run's id range [lo, hi] regardless of direction.
+func (r Run) Span() (lo, hi int) {
+	if r.First <= r.Last {
+		return r.First, r.Last
+	}
+	return r.Last, r.First
+}
+
+// RouteRuns appends the route src->dst of RouteIDs as runs of
+// consecutive channel ids, in route order, and returns the extended
+// slice: one run per axis leg, or two when the leg wraps around the
+// torus, so at most four. Expanding the runs in order gives RouteIDs
+// exactly; a caller that passes a buffer of capacity 4 never
+// allocates.
+func (m *Mesh) RouteRuns(src, dst int, buf []Run) []Run {
+	if src < 0 || src >= m.Nodes() || dst < 0 || dst >= m.Nodes() {
+		panic(fmt.Sprintf("mesh: route %d->%d outside %s", src, dst, m.Name()))
+	}
+	sx, sy := m.Coord(src)
+	dx, dy := m.Coord(dst)
+	n := m.w * m.h
+	if sx != dx {
+		// Row sy of the X plane: ids base+x for x in [0, w).
+		step, dir := m.axisStep(sx, dx, m.w, dirXPlus)
+		buf = legRuns(buf, dir*n+sy*m.w, sx, dx, step, m.w)
+	}
+	if sy != dy {
+		// Column dx of the Y plane: ids base+y for y in [0, h).
+		step, dir := m.axisStep(sy, dy, m.h, dirYPlus)
+		buf = legRuns(buf, dir*n+dx*m.h, sy, dy, step, m.h)
+	}
+	return buf
+}
+
+// legRuns appends the runs of one axis leg from position from to
+// position to (from != to) on a ring of the given size, whose channel
+// at position p is base+p. The leg crosses the channels of positions
+// from, from+step, ..., up to but excluding to; it wraps when to lies
+// behind from in the direction of travel.
+func legRuns(buf []Run, base, from, to, step, size int) []Run {
+	if step > 0 {
+		if to > from {
+			return append(buf, Run{base + from, base + to - 1})
+		}
+		buf = append(buf, Run{base + from, base + size - 1})
+		if to > 0 {
+			buf = append(buf, Run{base, base + to - 1})
+		}
+		return buf
+	}
+	if to < from {
+		return append(buf, Run{base + from, base + to + 1})
+	}
+	buf = append(buf, Run{base + from, base})
+	if to < size-1 {
+		buf = append(buf, Run{base + size - 1, base + to + 1})
+	}
+	return buf
+}
 
 // RouteIDs implements topo.Topology: dimension-ordered XY routing —
 // resolve the X offset fully, then the Y offset. On a torus each axis
@@ -97,15 +173,15 @@ func (m *Mesh) RouteIDs(src, dst int, buf []int) []int {
 	// one position, so the torus wraparound is one compare per hop
 	// rather than a modulo.
 	if sx != dx {
-		step, dir := m.axisStep(sx, dx, m.w)
+		step, dir := m.axisStep(sx, dx, m.w, dirXPlus)
 		for x := sx; x != dx; x = stepWrap(x, step, m.w) {
-			buf = append(buf, m.channel(m.ID(x, sy), dir))
+			buf = append(buf, m.channel(x, sy, dir))
 		}
 	}
 	if sy != dy {
-		step, dir := m.axisStepY(sy, dy, m.h)
+		step, dir := m.axisStep(sy, dy, m.h, dirYPlus)
 		for y := sy; y != dy; y = stepWrap(y, step, m.h) {
-			buf = append(buf, m.channel(m.ID(dx, y), dir))
+			buf = append(buf, m.channel(dx, y, dir))
 		}
 	}
 	return buf
@@ -125,41 +201,25 @@ func stepWrap(v, step, size int) int {
 	return v
 }
 
-// axisStep picks the direction of travel along the X axis.
-func (m *Mesh) axisStep(from, to, size int) (step, dir int) {
+// axisStep picks the direction of travel along one axis, from
+// position from to position to on a ring (torus) or line (mesh) of the
+// given size. plus is the axis's + direction plane (dirXPlus or
+// dirYPlus); its - direction is the plane after it.
+func (m *Mesh) axisStep(from, to, size, plus int) (step, dir int) {
+	fwd := to - from
 	if m.torus {
-		fwd := wrap(to-from, size)
-		if fwd <= size-fwd {
-			return 1, dirXPlus
+		if fwd < 0 {
+			fwd += size
 		}
-		return -1, dirXMinus
-	}
-	if to > from {
-		return 1, dirXPlus
-	}
-	return -1, dirXMinus
-}
-
-func (m *Mesh) axisStepY(from, to, size int) (step, dir int) {
-	if m.torus {
-		fwd := wrap(to-from, size)
 		if fwd <= size-fwd {
-			return 1, dirYPlus
+			return 1, plus
 		}
-		return -1, dirYMinus
+		return -1, plus + 1
 	}
-	if to > from {
-		return 1, dirYPlus
+	if fwd > 0 {
+		return 1, plus
 	}
-	return -1, dirYMinus
-}
-
-func wrap(v, size int) int {
-	v %= size
-	if v < 0 {
-		v += size
-	}
-	return v
+	return -1, plus + 1
 }
 
 // Hops implements topo.Topology.

@@ -58,9 +58,9 @@ func TestXYRouteShape(t *testing.T) {
 	// (0,0) -> (2,1): two +X hops then one +Y hop.
 	route := m.RouteIDs(m.ID(0, 0), m.ID(2, 1), nil)
 	want := []int{
-		m.channel(m.ID(0, 0), dirXPlus),
-		m.channel(m.ID(1, 0), dirXPlus),
-		m.channel(m.ID(2, 0), dirYPlus),
+		m.channel(0, 0, dirXPlus),
+		m.channel(1, 0, dirXPlus),
+		m.channel(2, 0, dirYPlus),
 	}
 	if len(route) != len(want) {
 		t.Fatalf("route %v, want %v", route, want)
@@ -161,17 +161,25 @@ func routeIDsModulo(m *Mesh, src, dst int, buf []int) []int {
 	dx, dy := m.Coord(dst)
 	x := sx
 	for x != dx {
-		step, dir := m.axisStep(x, dx, m.w)
-		buf = append(buf, m.channel(m.ID(x, sy), dir))
+		step, dir := m.axisStep(x, dx, m.w, dirXPlus)
+		buf = append(buf, m.channel(x, sy, dir))
 		x = wrap(x+step, m.w)
 	}
 	y := sy
 	for y != dy {
-		step, dir := m.axisStepY(y, dy, m.h)
-		buf = append(buf, m.channel(m.ID(dx, y), dir))
+		step, dir := m.axisStep(y, dy, m.h, dirYPlus)
+		buf = append(buf, m.channel(dx, y, dir))
 		y = wrap(y+step, m.h)
 	}
 	return buf
+}
+
+func wrap(v, size int) int {
+	v %= size
+	if v < 0 {
+		v += size
+	}
+	return v
 }
 
 // TestRouteIDsMatchModuloForm pins the routes produced by RouteIDs to
@@ -208,5 +216,61 @@ func TestRouteIDsMatchModuloForm(t *testing.T) {
 	// half-ring ties.
 	for dst := 0; dst < big.Nodes(); dst++ {
 		check(big, 0, dst)
+	}
+}
+
+// expandRuns lists the channel ids of runs in the order a route
+// crosses them.
+func expandRuns(runs []Run) []int {
+	var ids []int
+	for _, r := range runs {
+		step := 1
+		if r.First > r.Last {
+			step = -1
+		}
+		for id := r.First; ; id += step {
+			ids = append(ids, id)
+			if id == r.Last {
+				break
+			}
+		}
+	}
+	return ids
+}
+
+// TestRouteRunsMatchRouteIDs pins the closed-form runs to the hop-by-hop
+// route: for every pair of small meshes and tori (degenerate rows and
+// columns, non-square shapes, odd sides, and even rings whose
+// half-ring ties route in the positive direction), and for sampled
+// pairs of the 4096-node torus, expanding RouteRuns in route order
+// gives exactly RouteIDs, in at most four runs.
+func TestRouteRunsMatchRouteIDs(t *testing.T) {
+	check := func(m *Mesh, src, dst int) {
+		t.Helper()
+		runs := m.RouteRuns(src, dst, nil)
+		got, want := expandRuns(runs), m.RouteIDs(src, dst, nil)
+		if len(runs) > 4 || len(got) != len(want) {
+			t.Fatalf("%s %d->%d: runs %v expand to %v, RouteIDs %v", m.Name(), src, dst, runs, got, want)
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%s %d->%d: runs %v expand to %v, RouteIDs %v", m.Name(), src, dst, runs, got, want)
+			}
+		}
+	}
+	for _, m := range []*Mesh{
+		MustNew(3, 3, false), MustNew(1, 7, false), MustNew(7, 1, false), MustNew(5, 3, false),
+		MustNew(3, 3, true), MustNew(6, 6, true), MustNew(8, 5, true), MustNew(7, 5, true),
+	} {
+		for src := 0; src < m.Nodes(); src++ {
+			for dst := 0; dst < m.Nodes(); dst++ {
+				check(m, src, dst)
+			}
+		}
+	}
+	big := MustNew(64, 64, true)
+	rng := rand.New(rand.NewSource(4096))
+	for i := 0; i < 20000; i++ {
+		check(big, rng.Intn(big.Nodes()), rng.Intn(big.Nodes()))
 	}
 }

@@ -23,10 +23,13 @@ import (
 const maxRequestBytes = 32 << 20
 
 // maxServiceNodes bounds the machine size one synchronous request may
-// target. Simulator state is O(n^2) — ~150 MB at this cap — so huge
-// machines are built per request instead of cached (see
-// worker.machine), and their route tables fall back to lazy on-the-fly
-// routing instead of the precomputed dense form (see tableCache).
+// target. A fresh machine is O(n + channels + messages) — under 1 MiB
+// at this cap — but a run grows its program and attempt arenas with
+// the schedule, so machines past maxCachedMachineNodes are built per
+// request instead of cached (see worker.machine). Mesh and torus
+// route tables are closed-form at any size; a cube or graph whose
+// dense table would exceed maxRouteTableHops gets lazy on-the-fly
+// routing instead (see tableCache).
 // Campaigns stay capped at 1 << maxCampaignDim nodes: a grid multiplies
 // the per-run cost by cells x samples x algorithms.
 const maxServiceNodes = 4096
@@ -37,9 +40,10 @@ const maxServiceNodes = 4096
 // not an admission gate: the shared tableCache builds every topology
 // under it dense — word-mask bitset occupancy, O(1) hop lookups — and
 // anything over it (a 1024-node path graph's diameter-1023 table would
-// be ~2 GB) as a lazy table that generates routes on the fly. The
-// budget admits every cube/mesh/torus the service served before graphs
-// existed; the worst is the 32x32 mesh at ~33M hops.
+// be ~2 GB) as a lazy table that generates routes on the fly. It
+// governs only cube and graph shapes: mesh and torus tables are
+// closed-form and store no hops. The largest dense cube is dim 11
+// (23M hops, 112 MiB); the dim-12 cube goes lazy.
 const maxRouteTableHops = 1 << 26
 
 // Stable machine-readable error codes, carried in every error
@@ -433,10 +437,11 @@ func buildTopology(tj *WireTopology, n int) (topo.Topology, error) {
 		return nil, badRequest("%v", err)
 	}
 	// No route-table footprint gate here: topologies whose dense table
-	// would blow the maxRouteTableHops budget (high-diameter shapes like
-	// long rings and big tori) get a lazy table from the shared cache
-	// instead — routes generated on the fly, nothing precomputed — so
-	// they are served, just without the dense fast path.
+	// would blow the maxRouteTableHops budget (the dim-12 cube,
+	// high-diameter graphs like long rings) get a lazy table from the
+	// shared cache instead — routes generated on the fly, nothing
+	// precomputed — so they are served, just without the dense fast
+	// path. Meshes and tori are closed-form at every size.
 	return net, nil
 }
 

@@ -64,22 +64,24 @@ func newTableCache() *tableCache {
 	return &tableCache{tables: make(map[string]*topo.RouteTable)}
 }
 
-// maxSharedTables bounds daemon-wide retained route tables. A dense
-// table is capped by the maxRouteTableHops budget (~268 MB worst case,
-// reached only by extreme-but-legal shapes like the 32x32 mesh; the
-// dim-10 cube is ~20 MB) and a lazy table stores no hops at all, so
-// eight retained tables stay bounded even under an adversarial
-// topology mix — and unlike the per-worker caches, this bound does not
-// multiply by worker count.
+// maxSharedTables bounds daemon-wide retained route tables. Only cube
+// and graph tables can be dense, capped by the maxRouteTableHops
+// budget (~256 MiB of hops worst case, reachable only by graph:
+// shapes; the dim-10 cube keeps 90 MiB with its mask spans, the dim-11
+// cube 112 MiB). Lazy tables and mesh/torus tables, which are
+// closed-form, store no hops at all. So eight retained tables stay
+// bounded even under an adversarial topology mix — and unlike the
+// per-worker caches, this bound does not multiply by worker count.
 const maxSharedTables = 8
 
 // get returns the daemon-shared route table for net, building it on
-// first use. The auto constructor picks the representation: dense
-// (precomputed CSR routes, word-mask bitset occupancy) when the hop
-// footprint fits the maxRouteTableHops budget, lazy (routes generated
-// on the fly, nothing stored) when it would not — which is what lets
-// the service admit high-diameter shapes like a 64x64 torus that the
-// old footprint gate answered 400.
+// first use. The auto constructor picks the representation:
+// closed-form for a mesh or torus (routes are runs of channel ids,
+// nothing stored); otherwise dense (precomputed CSR routes, word-mask
+// bitset occupancy) when the hop footprint fits the maxRouteTableHops
+// budget, and lazy (routes generated on the fly, nothing stored) when
+// it would not — which is what lets the service admit the dim-12 cube
+// and long rings.
 func (tc *tableCache) get(net topo.Topology) *topo.RouteTable {
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
@@ -123,8 +125,9 @@ const maxCachedMachineNodes = 1 << maxCampaignDim
 // machine returns the worker's reusable machine for (net, params),
 // building and caching it on first use. Machines are built over the
 // daemon-shared route table, so transfers claim and release whole
-// routes word-at-a-time through its bitset spans when the table is
-// dense, and fall back to on-the-fly routing when it is lazy.
+// routes word-at-a-time — a mesh or torus through its runs of channel
+// ids, a dense table through its bitset spans — and fall back to
+// on-the-fly routing when the table is lazy.
 func (w *worker) machine(net topo.Topology, paramsName string, params costmodel.Params) (*ipsc.Machine, error) {
 	if net.Nodes() > maxCachedMachineNodes {
 		return ipsc.NewMachine(w.tables.get(net), params)

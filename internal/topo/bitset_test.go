@@ -2,6 +2,7 @@ package topo_test
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"unsched/internal/hypercube"
@@ -86,18 +87,24 @@ func TestAutoTableChoosesMode(t *testing.T) {
 	if rt := topo.NewRouteTableAuto(net, 0); rt.Lazy() {
 		t.Error("no budget should always build dense")
 	}
-	// The big-mesh shape that motivated the old service gate: 32x32
-	// torus estimated at 1024^2 * (32+1)/2 ≈ 17M hops.
+	// A mesh or torus is closed-form under any budget: a 32x32 torus
+	// would be ~17M dense hops (1024^2 * (32+1)/2), but its table
+	// stores none.
 	big := mesh.MustNew(32, 32, true)
-	if rt := topo.NewRouteTableAuto(big, 1<<20); !rt.Lazy() {
-		t.Error("32x32 torus under a 2^20 budget should be lazy")
+	for _, budget := range []int64{1 << 20, 1 << 26, 0} {
+		rt := topo.NewRouteTableAuto(big, budget)
+		if rt.Lazy() || rt.Grid() == nil || rt.HopEntries() != 0 {
+			t.Errorf("32x32 torus under budget %d: lazy=%v closed-form=%v hops=%d, want a closed-form table",
+				budget, rt.Lazy(), rt.Grid() != nil, rt.HopEntries())
+		}
 	}
 }
 
 // TestBitsetRouteOpsMatchBoolOccupancy drives the word-at-a-time
-// bitset route API and a reference per-channel bool table through the
-// same randomized claim/release/probe sequence on every sweep
-// topology, requiring identical answers throughout. (The per-hop
+// bitset route API (mask spans on dense tables, runs on closed-form
+// ones) and a reference per-channel bool table through the same
+// randomized claim/release/probe sequence on every sweep topology,
+// requiring identical answers throughout. (The per-hop
 // fallback of tables above the span limit is covered by the internal
 // TestBitsetFallbackMatchesMaskedPath.)
 func TestBitsetRouteOpsMatchBoolOccupancy(t *testing.T) {
@@ -108,7 +115,7 @@ func TestBitsetRouteOpsMatchBoolOccupancy(t *testing.T) {
 			continue
 		}
 		rt := topo.NewRouteTable(net)
-		if !rt.Masked() {
+		if !rt.Masked() && rt.Grid() == nil {
 			t.Fatalf("%s: sweep table unexpectedly above the span limit", net.Name())
 		}
 		busy := make([]uint64, topo.BitsetWords(net.NumChannels()))
@@ -146,6 +153,70 @@ func TestBitsetRouteOpsMatchBoolOccupancy(t *testing.T) {
 				refSet(src, dst, true)
 				held = append(held, claim{src, dst})
 			}
+		}
+	}
+}
+
+// TestBitsetRangesMatchPerBitLoop checks the word-at-a-time range
+// helpers against a per-bit loop, over random contents and every range
+// whose ends lie on or next to a word boundary: 0, 63, 64, 127, 128,
+// and the first and last bit of the last word.
+func TestBitsetRangesMatchPerBitLoop(t *testing.T) {
+	const words = 4
+	const nbits = words * 64
+	ends := []int{0, 1, 62, 63, 64, 65, 126, 127, 128, 129, 191, 192, 254, nbits - 1}
+	bit := func(b topo.Bitset, i int) bool { return b[i>>6]&(uint64(1)<<(uint(i)&63)) != 0 }
+	rng := rand.New(rand.NewSource(64))
+	for fill := 0; fill < 40; fill++ {
+		b := make(topo.Bitset, words)
+		for w := range b {
+			// Sparse and dense contents, so empty and full ranges occur.
+			b[w] = rng.Uint64() & rng.Uint64() & rng.Uint64()
+			if fill%2 == 1 {
+				b[w] = ^b[w]
+			}
+		}
+		for _, lo := range ends {
+			for _, hi := range ends {
+				if lo > hi {
+					continue
+				}
+				first, last := -1, -1
+				for i := lo; i <= hi; i++ {
+					if bit(b, i) {
+						if first < 0 {
+							first = i
+						}
+						last = i
+					}
+				}
+				if got := b.AnyIn(lo, hi); got != (first >= 0) {
+					t.Fatalf("fill %d: AnyIn(%d,%d) = %v, per-bit loop %v", fill, lo, hi, got, first >= 0)
+				}
+				if got := b.FirstIn(lo, hi); got != first {
+					t.Fatalf("fill %d: FirstIn(%d,%d) = %d, per-bit loop %d", fill, lo, hi, got, first)
+				}
+				if got := b.LastIn(lo, hi); got != last {
+					t.Fatalf("fill %d: LastIn(%d,%d) = %d, per-bit loop %d", fill, lo, hi, got, last)
+				}
+				set, cleared := slices.Clone(b), slices.Clone(b)
+				set.SetIn(lo, hi)
+				cleared.ClearIn(lo, hi)
+				for i := 0; i < nbits; i++ {
+					in := lo <= i && i <= hi
+					if want := bit(b, i) || in; bit(set, i) != want {
+						t.Fatalf("fill %d: SetIn(%d,%d): bit %d = %v, want %v", fill, lo, hi, i, bit(set, i), want)
+					}
+					if want := bit(b, i) && !in; bit(cleared, i) != want {
+						t.Fatalf("fill %d: ClearIn(%d,%d): bit %d = %v, want %v", fill, lo, hi, i, bit(cleared, i), want)
+					}
+				}
+			}
+		}
+		// The run-release loop asks for the next bit past a range's
+		// last one; that empty range must not read past the set.
+		if got := b.FirstIn(nbits, nbits-1); got != -1 {
+			t.Fatalf("fill %d: FirstIn on an empty range = %d, want -1", fill, got)
 		}
 	}
 }

@@ -1,6 +1,10 @@
 package topo
 
-import "fmt"
+import (
+	"fmt"
+
+	"unsched/internal/mesh"
+)
 
 // RouteTable is the §5 observation made concrete: for a regular
 // topology with deterministic routing, every route is a pure function
@@ -11,31 +15,39 @@ import "fmt"
 // route generation and no pointer chasing.
 //
 // Memory is O(n^2 * diameter): one int32 per route hop plus n^2+1
-// offsets. On the paper's 64-node hypercube that is ~12k hop entries
-// (~64 KB); a 1024-node cube needs ~20 MB. Precomputation costs one
-// RouteIDs call per (src, dst) pair, so it pays off as soon as a table
-// is reused for more than a handful of schedules — which is exactly
-// the shape of campaign and service traffic. Build one table per
-// topology and share it: a RouteTable is immutable after construction
-// and therefore safe for concurrent readers.
+// offsets, and under maskSpanHopLimit hops the word-mask spans on top.
+// On the paper's 64-node hypercube that is ~12k hop entries (~64 KB);
+// a 1024-node cube (5.2M hops) keeps ~90 MiB, most of it mask spans.
+// Precomputation costs one RouteIDs call per (src, dst) pair, so it
+// pays off as soon as a table is reused for more than a handful of
+// schedules — which is exactly the shape of campaign and service
+// traffic. Build one table per topology and share it: a RouteTable is
+// immutable after construction and therefore safe for concurrent
+// readers.
 //
-// A RouteTable is itself a Topology (delegating Name and, in lazy
-// mode, route generation to the topology it wraps), so it can be
-// passed anywhere a Topology goes — in particular to ipsc.NewMachine,
-// which detects it and switches channel-occupancy checks to the
-// word-at-a-time bitset path below.
+// A RouteTable is itself a Topology (delegating Name and, in lazy and
+// closed-form modes, route generation to the topology it wraps), so it
+// can be passed anywhere a Topology goes — in particular to
+// ipsc.NewMachine, which detects it and switches channel-occupancy
+// checks to the word-at-a-time bitset path below.
 //
-// Two storage modes exist. The dense mode above materializes every
-// route. The lazy mode (NewRouteTableLazy, or NewRouteTableAuto past
-// its hop budget) stores nothing and generates routes on the fly
+// Three modes exist. A mesh or torus gets a closed-form table (Grid):
+// every XY route is at most four runs of consecutive channel ids
+// (mesh.RouteRuns), computed per call in O(1) and tested and claimed a
+// bitset word at a time, so the table stores nothing. Any other
+// topology gets the dense mode above, which materializes every route,
+// or the lazy mode (NewRouteTableLazy, or NewRouteTableAuto past its
+// hop budget), which stores nothing and generates routes on the fly
 // through the underlying topology — O(1) memory, so machines far past
-// the dense footprint (4096-node tori and graphs) stay schedulable;
-// consumers that can only walk materialized routes (Route, the bitset
-// route API) must check Lazy() and fall back to RouteIDs.
+// the dense footprint (4096-node cubes and graphs) stay schedulable.
+// Route exists only in the dense mode; the bitset route API in the
+// dense and closed-form modes. Consumers check Lazy() and fall back to
+// RouteIDs.
 type RouteTable struct {
 	t    Topology
 	n    int
 	lazy bool
+	grid *mesh.Mesh // closed-form mode: routes are runs, nothing stored
 	// dense storage
 	offsets []int32 // len n*n+1; route k occupies ids[offsets[k]:offsets[k+1]]
 	ids     []int32 // directed-channel indices of all routes, concatenated
@@ -64,12 +76,16 @@ type DiameterHinter interface {
 // branch-per-hop but allocation-free.
 const maskSpanHopLimit = 1 << 23
 
-// NewRouteTable precomputes every deterministic route of t. It panics
-// when n^2 routes cannot be indexed by int32 offsets (n > 46340) —
-// tables that size would not fit in memory anyway; use a lazy table
-// (NewRouteTableLazy) for such machines.
+// NewRouteTable precomputes every deterministic route of t, or, for a
+// mesh or torus, returns a closed-form table that stores none. It
+// panics when n^2 routes cannot be indexed by int32 offsets
+// (n > 46340) — tables that size would not fit in memory anyway; use a
+// lazy table (NewRouteTableLazy) for such machines.
 func NewRouteTable(t Topology) *RouteTable {
 	n := t.Nodes()
+	if g, ok := t.(*mesh.Mesh); ok {
+		return &RouteTable{t: t, n: n, grid: g}
+	}
 	if int64(n)*int64(n) >= int64(1)<<31 {
 		panic(fmt.Sprintf("topo: route table for %d nodes exceeds int32 indexing; use a lazy table", n))
 	}
@@ -111,9 +127,10 @@ func NewRouteTableLazy(t Topology) *RouteTable {
 // estimate is n^2 * (diameter+1)/2 — the same presizing heuristic
 // NewRouteTable uses; topologies that do not hint their diameter are
 // assumed dense-worthy (none of the built-in ones abstain).
-// maxDenseHops <= 0 means no budget: always dense.
+// maxDenseHops <= 0 means no budget: always dense. A mesh or torus
+// always gets its closed-form table, which stores no hops.
 func NewRouteTableAuto(t Topology, maxDenseHops int64) *RouteTable {
-	if maxDenseHops > 0 {
+	if _, grid := t.(*mesh.Mesh); maxDenseHops > 0 && !grid {
 		n := int64(t.Nodes())
 		if n*n >= int64(1)<<31 {
 			return NewRouteTableLazy(t)
@@ -164,6 +181,27 @@ func (rt *RouteTable) Topology() Topology { return rt.t }
 // route API.
 func (rt *RouteTable) Lazy() bool { return rt.lazy }
 
+// Grid returns the mesh or torus of a closed-form table, whose routes
+// are mesh.RouteRuns, or nil for dense and lazy tables.
+func (rt *RouteTable) Grid() *mesh.Mesh { return rt.grid }
+
+// TableOf returns the non-lazy table to route t through: t itself when
+// it is a dense or closed-form table, a closed-form table when t is a
+// mesh or torus (bare or wrapped in a lazy table), and nil when routes
+// must be generated through t.RouteIDs.
+func TableOf(t Topology) *RouteTable {
+	if rt, ok := t.(*RouteTable); ok {
+		if !rt.lazy {
+			return rt
+		}
+		t = rt.t
+	}
+	if g, ok := t.(*mesh.Mesh); ok {
+		return NewRouteTable(g)
+	}
+	return nil
+}
+
 // Masked reports whether word-mask spans were built (dense tables
 // under maskSpanHopLimit hop entries).
 func (rt *RouteTable) Masked() bool { return rt.spanOff != nil }
@@ -180,10 +218,10 @@ func (rt *RouteTable) Nodes() int { return rt.n }
 func (rt *RouteTable) NumChannels() int { return rt.t.NumChannels() }
 
 // RouteIDs appends the directed-channel indices of the route src->dst,
-// satisfying Topology. Dense tables copy from storage; lazy ones
-// delegate to the underlying topology.
+// satisfying Topology. Dense tables copy from storage; lazy and
+// closed-form ones delegate to the underlying topology.
 func (rt *RouteTable) RouteIDs(src, dst int, buf []int) []int {
-	if rt.lazy {
+	if rt.lazy || rt.grid != nil {
 		return rt.t.RouteIDs(src, dst, buf)
 	}
 	for _, id := range rt.Route(src, dst) {
@@ -194,11 +232,11 @@ func (rt *RouteTable) RouteIDs(src, dst int, buf []int) []int {
 
 // Route returns the precomputed directed-channel indices of the route
 // src->dst. The slice aliases the table's storage: read-only, valid
-// forever, safe to hold across calls. Panics on a lazy table — use
-// RouteIDs there.
+// forever, safe to hold across calls. Panics on a lazy or closed-form
+// table, which store no routes — use RouteIDs there.
 func (rt *RouteTable) Route(src, dst int) []int32 {
-	if rt.lazy {
-		panic("topo: Route on a lazy table; use RouteIDs")
+	if rt.lazy || rt.grid != nil {
+		panic("topo: Route on a table that stores no routes; use RouteIDs")
 	}
 	k := src*rt.n + dst
 	return rt.ids[rt.offsets[k]:rt.offsets[k+1]]
@@ -206,33 +244,30 @@ func (rt *RouteTable) Route(src, dst int) []int32 {
 
 // Hops returns the route length from src to dst.
 func (rt *RouteTable) Hops(src, dst int) int {
-	if rt.lazy {
-		return rt.t.Hops(src, dst)
+	if rt.offsets != nil {
+		k := src*rt.n + dst
+		return int(rt.offsets[k+1] - rt.offsets[k])
 	}
-	k := src*rt.n + dst
-	return int(rt.offsets[k+1] - rt.offsets[k])
+	if rt.grid != nil {
+		return rt.grid.Hops(src, dst)
+	}
+	return rt.t.Hops(src, dst)
 }
 
 // HopEntries returns the total number of stored hops across all
 // routes — the n^2 * average-route-length term of the memory bound,
-// for tests and capacity planning. Zero for lazy tables.
+// for tests and capacity planning. Zero for lazy and closed-form
+// tables.
 func (rt *RouteTable) HopEntries() int { return len(rt.ids) }
 
-// BitsetWords returns the []uint64 length a channel-occupancy bitset
-// needs for numChannels directed channels.
-func BitsetWords(numChannels int) int { return (numChannels + 63) / 64 }
-
 // RouteFree reports whether every channel of the route src->dst is
-// clear in the packed occupancy bitset busy (one bit per directed
-// channel, bit i at busy[i/64]>>(i%64)). On masked tables this is one
-// AND per touched word; otherwise one bit test per hop. Panics on a
-// lazy table.
-func (rt *RouteTable) RouteFree(busy []uint64, src, dst int) bool {
-	if rt.lazy {
-		panic("topo: RouteFree on a lazy table; walk RouteIDs")
-	}
-	k := src*rt.n + dst
+// clear in the packed occupancy bitset busy. On closed-form tables
+// this is one masked AND per word each run touches, on masked tables
+// one AND per touched word, otherwise one bit test per hop. Panics on
+// a lazy table.
+func (rt *RouteTable) RouteFree(busy Bitset, src, dst int) bool {
 	if rt.spanOff != nil {
+		k := src*rt.n + dst
 		for s := rt.spanOff[k]; s < rt.spanOff[k+1]; s++ {
 			if busy[rt.spanWord[s]]&rt.spanMask[s] != 0 {
 				return false
@@ -240,6 +275,19 @@ func (rt *RouteTable) RouteFree(busy []uint64, src, dst int) bool {
 		}
 		return true
 	}
+	if rt.grid != nil {
+		var a [4]mesh.Run
+		for _, r := range rt.grid.RouteRuns(src, dst, a[:0]) {
+			if lo, hi := r.Span(); busy.AnyIn(lo, hi) {
+				return false
+			}
+		}
+		return true
+	}
+	if rt.lazy {
+		panic("topo: RouteFree on a lazy table; walk RouteIDs")
+	}
+	k := src*rt.n + dst
 	for _, id := range rt.ids[rt.offsets[k]:rt.offsets[k+1]] {
 		if busy[id>>6]&(uint64(1)<<(uint(id)&63)) != 0 {
 			return false
@@ -250,17 +298,25 @@ func (rt *RouteTable) RouteFree(busy []uint64, src, dst int) bool {
 
 // ClaimRoute sets every channel bit of the route src->dst in busy.
 // Panics on a lazy table.
-func (rt *RouteTable) ClaimRoute(busy []uint64, src, dst int) {
-	if rt.lazy {
-		panic("topo: ClaimRoute on a lazy table; walk RouteIDs")
-	}
-	k := src*rt.n + dst
+func (rt *RouteTable) ClaimRoute(busy Bitset, src, dst int) {
 	if rt.spanOff != nil {
+		k := src*rt.n + dst
 		for s := rt.spanOff[k]; s < rt.spanOff[k+1]; s++ {
 			busy[rt.spanWord[s]] |= rt.spanMask[s]
 		}
 		return
 	}
+	if rt.grid != nil {
+		var a [4]mesh.Run
+		for _, r := range rt.grid.RouteRuns(src, dst, a[:0]) {
+			busy.SetIn(r.Span())
+		}
+		return
+	}
+	if rt.lazy {
+		panic("topo: ClaimRoute on a lazy table; walk RouteIDs")
+	}
+	k := src*rt.n + dst
 	for _, id := range rt.ids[rt.offsets[k]:rt.offsets[k+1]] {
 		busy[id>>6] |= uint64(1) << (uint(id) & 63)
 	}
@@ -268,17 +324,25 @@ func (rt *RouteTable) ClaimRoute(busy []uint64, src, dst int) {
 
 // ReleaseRoute clears every channel bit of the route src->dst in busy.
 // Panics on a lazy table.
-func (rt *RouteTable) ReleaseRoute(busy []uint64, src, dst int) {
-	if rt.lazy {
-		panic("topo: ReleaseRoute on a lazy table; walk RouteIDs")
-	}
-	k := src*rt.n + dst
+func (rt *RouteTable) ReleaseRoute(busy Bitset, src, dst int) {
 	if rt.spanOff != nil {
+		k := src*rt.n + dst
 		for s := rt.spanOff[k]; s < rt.spanOff[k+1]; s++ {
 			busy[rt.spanWord[s]] &^= rt.spanMask[s]
 		}
 		return
 	}
+	if rt.grid != nil {
+		var a [4]mesh.Run
+		for _, r := range rt.grid.RouteRuns(src, dst, a[:0]) {
+			busy.ClearIn(r.Span())
+		}
+		return
+	}
+	if rt.lazy {
+		panic("topo: ReleaseRoute on a lazy table; walk RouteIDs")
+	}
+	k := src*rt.n + dst
 	for _, id := range rt.ids[rt.offsets[k]:rt.offsets[k+1]] {
 		busy[id>>6] &^= uint64(1) << (uint(id) & 63)
 	}

@@ -27,67 +27,70 @@ type Topology interface {
 }
 
 // Occupancy is a per-phase channel-claim table over any Topology: the
-// generic form of the paper's PATHS array with O(1) amortized
-// clearing. It supports the Check_Path / Mark_Path operations of the
-// RS_NL algorithm (Figure 4).
+// generic form of the paper's PATHS array. It supports the Check_Path /
+// Mark_Path operations of the RS_NL algorithm (Figure 4). Claims are
+// kept per directed channel, because iPSC/860 links are full-duplex:
+// two circuits may cross one wire in opposite directions without
+// contention. They live in a channel Bitset, so Reset clears
+// NumChannels/64 words.
 //
-// Two route backends exist. NewOccupancy generates each route on the
-// fly through Topology.RouteIDs — right for one-shot use. When built
-// over a precomputed RouteTable (NewOccupancyTable), CheckPath and
-// MarkPath become index walks over the table's flat hop storage with
-// no route generation at all; that is the backend the reusable
-// scheduler cores run on.
+// A mesh or torus tests and claims the closed-form runs of channel ids
+// of its routes a word at a time (RouteTable.RouteFree). Over a dense
+// RouteTable (NewOccupancyTable), CheckPath and MarkPath are index
+// walks over the table's stored routes with no route generation.
+// Anything else generates each route through Topology.RouteIDs.
 type Occupancy struct {
-	t     Topology
-	rt    *RouteTable // non-nil: walk precomputed routes instead of generating
-	epoch uint32
-	marks []uint32
-	buf   []int
+	t    Topology
+	grid *RouteTable // non-nil: closed-form mesh/torus routes
+	rt   *RouteTable // non-nil: dense table, walk its stored routes
+	bits Bitset
+	buf  []int
 }
 
 // NewOccupancy returns an empty claim table for t, generating routes
-// on the fly.
+// on the fly unless t is a mesh or torus or a dense table.
 func NewOccupancy(t Topology) *Occupancy {
-	return &Occupancy{t: t, epoch: 1, marks: make([]uint32, t.NumChannels())}
+	o := &Occupancy{t: t, bits: make(Bitset, BitsetWords(t.NumChannels()))}
+	if rt := TableOf(t); rt != nil && rt.grid != nil {
+		o.grid = rt
+	} else {
+		o.rt = rt
+	}
+	return o
 }
 
-// NewOccupancyTable returns an empty claim table that walks rt's
-// precomputed routes. The table is shared read-only; each Occupancy
-// keeps only its own claim marks. A lazy table stores no routes, so
-// the occupancy falls back to generating them through the underlying
-// topology — same results, per-route generation cost.
+// NewOccupancyTable returns an empty claim table that routes through
+// rt. The table is shared read-only; each Occupancy keeps only its own
+// claims. A lazy table stores no routes, so the occupancy falls back
+// to generating them through the underlying topology — same results,
+// per-route generation cost.
 func NewOccupancyTable(rt *RouteTable) *Occupancy {
 	if rt.Lazy() {
 		return NewOccupancy(rt.Topology())
 	}
-	return &Occupancy{t: rt.Topology(), rt: rt, epoch: 1, marks: make([]uint32, rt.NumChannels())}
+	return NewOccupancy(rt)
 }
 
-// Reset clears all claims; O(1) amortized.
-func (o *Occupancy) Reset() {
-	o.epoch++
-	if o.epoch == 0 {
-		for i := range o.marks {
-			o.marks[i] = 0
-		}
-		o.epoch = 1
-	}
-}
+// Reset clears all claims.
+func (o *Occupancy) Reset() { clear(o.bits) }
 
 // CheckPath reports whether the route src->dst is entirely unclaimed
 // in the current phase (the paper's Check_Path).
 func (o *Occupancy) CheckPath(src, dst int) bool {
 	if o.rt != nil {
 		for _, id := range o.rt.Route(src, dst) {
-			if o.marks[id] == o.epoch {
+			if o.bits[id>>6]&(uint64(1)<<(uint(id)&63)) != 0 {
 				return false
 			}
 		}
 		return true
 	}
+	if o.grid != nil {
+		return o.grid.RouteFree(o.bits, src, dst)
+	}
 	o.buf = o.t.RouteIDs(src, dst, o.buf[:0])
 	for _, id := range o.buf {
-		if o.marks[id] == o.epoch {
+		if o.bits[id>>6]&(uint64(1)<<(uint(id)&63)) != 0 {
 			return false
 		}
 	}
@@ -99,24 +102,20 @@ func (o *Occupancy) CheckPath(src, dst int) bool {
 func (o *Occupancy) MarkPath(src, dst int) {
 	if o.rt != nil {
 		for _, id := range o.rt.Route(src, dst) {
-			o.marks[id] = o.epoch
+			o.bits[id>>6] |= uint64(1) << (uint(id) & 63)
 		}
+		return
+	}
+	if o.grid != nil {
+		o.grid.ClaimRoute(o.bits, src, dst)
 		return
 	}
 	o.buf = o.t.RouteIDs(src, dst, o.buf[:0])
 	for _, id := range o.buf {
-		o.marks[id] = o.epoch
+		o.bits[id>>6] |= uint64(1) << (uint(id) & 63)
 	}
 }
 
 // ClaimedCount returns the number of channels currently claimed;
 // O(channels), for tests and traces.
-func (o *Occupancy) ClaimedCount() int {
-	n := 0
-	for _, m := range o.marks {
-		if m == o.epoch {
-			n++
-		}
-	}
-	return n
-}
+func (o *Occupancy) ClaimedCount() int { return o.bits.Count() }
