@@ -105,15 +105,17 @@ func (s *Server) handleScheduleBatch(w http.ResponseWriter, r *http.Request) {
 		sem     = make(chan struct{}, limit)
 	)
 	emit := func(item BatchItem) {
-		line, err := json.Marshal(item)
+		bp := getEncBuf()
+		line, err := item.appendJSON(*bp)
+		line = append(line, '\n')
+		defer putEncBuf(bp, line)
 		if err != nil {
 			return
 		}
 		mu.Lock()
 		defer mu.Unlock()
-		n1, _ := w.Write(line)
-		n2, _ := w.Write([]byte{'\n'})
-		written += int64(n1 + n2)
+		n, _ := w.Write(line)
+		written += int64(n)
 		if flusher != nil {
 			// Flush per line: the stream's whole point is that a client
 			// sees item k's answer while item k+1 still computes.

@@ -108,8 +108,8 @@ func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 
 // handleCachePut accepts a write-behind push: a USCR record computed
 // by a peer for a key this daemon owns. The record must decode, pass
-// its CRC, and embed the key it was addressed to; anything else is
-// rejected before touching the cache.
+// its CRC, embed the key it was addressed to, and hold a JSON
+// document; anything else is rejected before touching the cache.
 func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
 	s.requests[epCache].Add(1)
 	key := r.PathValue("key")
@@ -134,6 +134,10 @@ func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
 	}
 	if k != key {
 		writeError(w, badRequest("record key %s does not match path key %s", k, key))
+		return
+	}
+	if !validDoc(value) {
+		writeError(w, badRequest("record value for %s is not a JSON document", key))
 		return
 	}
 	// A pushed record is a computed response this daemon owns: memoize
@@ -175,17 +179,26 @@ func (s *Server) peerFill(ctx context.Context, ep int, key string, enc encoding,
 	if !ok {
 		return nil, false
 	}
-	s.cache.put(key, jsonRaw)
+	// Check before caching: cached JSON is spliced into every later
+	// response verbatim, so a CRC-valid record whose value is not a
+	// JSON document (a broken or drifted peer) must never enter the
+	// cache; computing locally is the safe answer. A JSON response
+	// needs only validity (one scan, no allocation — a full decode
+	// would double the cost of a peer hit); a binary one decodes the
+	// document to render it anyway.
 	if enc == encJSON {
+		if !validDoc(jsonRaw) {
+			return nil, false
+		}
+		s.cache.put(key, jsonRaw)
 		s.cacheHits[ep].Add(1)
 		return jsonRaw, true
 	}
 	doc, err := decodeDoc(jsonRaw)
 	if err != nil {
-		// CRC-valid but undecodable means result-document drift between
-		// daemon versions; computing locally is the safe answer.
 		return nil, false
 	}
+	s.cache.put(key, jsonRaw)
 	bin := doc.appendBinaryPayload(nil)
 	s.cache.put(variantKey(key, enc), bin)
 	s.cacheHits[ep].Add(1)

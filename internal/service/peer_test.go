@@ -328,9 +328,13 @@ func TestFleetRejectsCorruptPeerRecords(t *testing.T) {
 	corruptions := []struct {
 		name string
 		make func(key string) []byte
+		// intact: the record passes the fleet layer's CRC and key checks,
+		// so only the service's document check stands between it and
+		// the cache.
+		intact bool
 	}{
-		{"garbage", func(key string) []byte { return []byte("not a record at all") }},
-		{"wrong key", func(key string) []byte {
+		{name: "garbage", make: func(key string) []byte { return []byte("not a record at all") }},
+		{name: "wrong key", make: func(key string) []byte {
 			other := strings.Repeat("0", 63) + "1"
 			rec, err := encodeRecord(other, []byte(`{"sneaky":true}`))
 			if err != nil {
@@ -338,12 +342,19 @@ func TestFleetRejectsCorruptPeerRecords(t *testing.T) {
 			}
 			return rec
 		}},
-		{"flipped crc", func(key string) []byte {
+		{name: "flipped crc", make: func(key string) []byte {
 			rec, err := encodeRecord(key, []byte(`{"sneaky":true}`))
 			if err != nil {
 				t.Fatal(err)
 			}
 			rec[len(rec)-1] ^= 0xff
+			return rec
+		}},
+		{name: "valid record, non-JSON value", intact: true, make: func(key string) []byte {
+			rec, err := encodeRecord(key, []byte("not json"))
+			if err != nil {
+				t.Fatal(err)
+			}
 			return rec
 		}},
 	}
@@ -392,7 +403,11 @@ func TestFleetRejectsCorruptPeerRecords(t *testing.T) {
 				if svc.fleet.Owns(env.Key) {
 					continue // the evil peer was never consulted; try another key
 				}
-				if st := svc.fleet.Stats(); st.Errors == 0 {
+				if st := svc.fleet.Stats(); tc.intact {
+					if st.Hits == 0 || svc.cacheMisses[epSchedule].Load() == 0 {
+						t.Fatalf("intact record with a non-JSON value served instead of recomputed: %+v", st)
+					}
+				} else if st.Errors == 0 {
 					t.Fatalf("corrupt record accepted silently: %+v", st)
 				}
 				// The poisoned bytes must not have entered the cache: a
@@ -530,6 +545,19 @@ func TestCacheEndpointContract(t *testing.T) {
 	broken[len(broken)-1] ^= 0xff
 	if st := doPut(putKey, broken); st != http.StatusBadRequest {
 		t.Errorf("PUT corrupt record: status %d, want 400", st)
+	}
+	// An intact record whose value is not JSON would be spliced into
+	// responses verbatim: rejected too.
+	notJSONKey := strings.Repeat("d", 64)
+	notJSON, err := encodeRecord(notJSONKey, []byte("not json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := doPut(notJSONKey, notJSON); st != http.StatusBadRequest {
+		t.Errorf("PUT non-JSON value: status %d, want 400", st)
+	}
+	if _, ok := svc.cache.get(notJSONKey); ok {
+		t.Error("non-JSON pushed value entered the cache")
 	}
 
 	// Disk fallback: a record evicted from memory but present on disk

@@ -356,10 +356,11 @@ func (ds *diskStore) load(into func(key string, value []byte)) int {
 			continue
 		}
 		key, value, err := decodeRecord(raw)
-		if err != nil || !validRecordKey(key) || key+recordSuffix != r.name {
+		if err != nil || !validRecordKey(key) || key+recordSuffix != r.name || !validDoc(value) {
 			// A record whose embedded key disagrees with its filename was
 			// tampered with or mis-copied; its bytes cannot be trusted to
-			// belong to either key.
+			// belong to either key. A value that is not JSON would be
+			// spliced into responses verbatim.
 			ds.dropCorrupt(path)
 			continue
 		}

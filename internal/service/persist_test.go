@@ -183,8 +183,8 @@ func TestWarmRestartSkipsCorruptRecords(t *testing.T) {
 	}
 
 	// Vandalize the directory: pure garbage, a truncated record, a bit
-	// flip in a valid record, and a record whose embedded key disagrees
-	// with its filename.
+	// flip in a valid record, a record whose embedded key disagrees
+	// with its filename, and an intact record whose value is not JSON.
 	good, err := encodeRecord(fakeKey(100), []byte("payload"))
 	if err != nil {
 		t.Fatal(err)
@@ -201,6 +201,11 @@ func TestWarmRestartSkipsCorruptRecords(t *testing.T) {
 	flipped[recordHeaderLen+70] ^= 1
 	write(fakeKey(103)+recordSuffix, flipped)
 	write(fakeKey(104)+recordSuffix, good) // embedded key is fakeKey(100)
+	notJSON, err := encodeRecord(fakeKey(105), []byte("payload"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	write(fakeKey(105)+recordSuffix, notJSON) // valid record, non-JSON value
 
 	svc, err := NewServer(Options{Workers: 1, CacheDir: dir})
 	if err != nil {
@@ -210,8 +215,8 @@ func TestWarmRestartSkipsCorruptRecords(t *testing.T) {
 	if warm := svc.warmLoaded.Load(); warm != 1 {
 		t.Errorf("warm-loaded %d entries, want only the intact record", warm)
 	}
-	if errs := svc.disk.loadErrors.Load(); errs != 4 {
-		t.Errorf("load errors = %d, want 4 corrupt records counted", errs)
+	if errs := svc.disk.loadErrors.Load(); errs != 5 {
+		t.Errorf("load errors = %d, want 5 corrupt records counted", errs)
 	}
 	// The intact record still serves, byte-identically.
 	var env2 Envelope
@@ -223,7 +228,7 @@ func TestWarmRestartSkipsCorruptRecords(t *testing.T) {
 	}
 	// The corrupt files were removed so they cannot fail again on the
 	// next restart.
-	for _, k := range []int{101, 102, 103, 104} {
+	for _, k := range []int{101, 102, 103, 104, 105} {
 		if _, err := os.Stat(filepath.Join(dir, fakeKey(k)+recordSuffix)); !os.IsNotExist(err) {
 			t.Errorf("corrupt record %d still on disk after load", k)
 		}
@@ -294,7 +299,7 @@ func TestWarmLoadNewestFirst(t *testing.T) {
 	}
 	base := time.Now().Add(-time.Hour)
 	for i := 0; i < 8; i++ {
-		if err := ds.writeRecord(fakeKey(i), []byte{byte(i)}); err != nil {
+		if err := ds.writeRecord(fakeKey(i), []byte{'0' + byte(i)}); err != nil { // a JSON number: load skips non-JSON values
 			t.Fatal(err)
 		}
 		if err := os.Chtimes(filepath.Join(dir, fakeKey(i)+recordSuffix), base, base.Add(time.Duration(i)*time.Second)); err != nil {

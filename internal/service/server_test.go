@@ -198,6 +198,10 @@ func TestScheduleBadRequests(t *testing.T) {
 		{"empty", ``},
 		{"not json", `{{{`},
 		{"trailing garbage", `{"matrix":{"n":4,"messages":[]}} extra`},
+		{"trailing brace", `{"matrix":{"n":4,"messages":[[0,1,10]]}}}`},
+		{"trailing bracket", `{"matrix":{"n":4,"messages":[[0,1,10]]}}]`},
+		{"trailing brackets", `{"matrix":{"n":4,"messages":[[0,1,10]]}} ]]]`},
+		{"second document", `{"matrix":{"n":4,"messages":[[0,1,10]]}}{}`},
 		{"unknown field", `{"matrix":{"n":4,"messages":[]},"bogus":1}`},
 		{"missing matrix", `{"algorithm":"LP"}`},
 		{"n too small", `{"matrix":{"n":1,"messages":[]}}`},

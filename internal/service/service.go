@@ -544,7 +544,7 @@ func (s *Server) memoized(ctx context.Context, ep int, key string, enc encoding,
 		if docErr != nil {
 			return nil, docErr
 		}
-		jsonRaw, err := json.Marshal(doc)
+		jsonRaw, err := doc.encodeJSON()
 		if err != nil {
 			return nil, err
 		}
@@ -596,17 +596,15 @@ func (s *Server) respondMemoized(w http.ResponseWriter, r *http.Request, cn conn
 		writeError(w, err)
 		return
 	}
+	bp := getEncBuf()
 	var body []byte
 	if cn.enc == encBinary {
-		body = appendBinaryEnvelope(make([]byte, 0, len(payload)+len(key)+16), key, cached, payload)
+		body = appendBinaryEnvelope(*bp, key, cached, payload)
 	} else {
-		body, err = json.Marshal(Envelope{Key: key, Cached: cached, Result: payload})
-		if err != nil {
-			writeError(w, err)
-			return
-		}
+		body = (&Envelope{Key: key, Cached: cached, Result: payload}).AppendJSON(*bp)
 	}
 	s.writeNegotiated(w, cn, key, body)
+	putEncBuf(bp, body)
 }
 
 // cachePut memoizes a computed response in memory and, when

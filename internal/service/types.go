@@ -120,10 +120,12 @@ func codedRequest(code, format string, args ...any) *apiError {
 // --- wire types -----------------------------------------------------
 
 // WireMatrix is the wire form of a communication matrix: the dimension
-// and the nonzero entries as [src, dst, bytes] triples.
+// and the nonzero entries as [src, dst, bytes] triples. Messages
+// decodes through WirePhase's triple scanner, with encoding/json's
+// semantics (see WirePhase.UnmarshalJSON).
 type WireMatrix struct {
-	N        int        `json:"n"`
-	Messages [][3]int64 `json:"messages"`
+	N        int       `json:"n"`
+	Messages WirePhase `json:"messages"`
 }
 
 // WireTopology names the network a request targets, in either of two
@@ -179,7 +181,11 @@ type ScheduleRequest struct {
 	Seed int64 `json:"seed,omitempty"`
 }
 
-// WirePhase is one schedule phase as [src, dst, bytes] triples.
+// WirePhase is a list of [src, dst, bytes] triples: one schedule
+// phase, or a WireMatrix's messages. Its UnmarshalJSON scans canonical
+// integer triples directly and hands every other input to
+// encoding/json, so what it accepts, rejects and decodes is exactly
+// what encoding/json does for [][3]int64 (see wirejson.go).
 type WirePhase [][3]int64
 
 // WireSchedule is the wire form of a computed schedule, reusable as
@@ -306,8 +312,10 @@ func decodeJSON(r *http.Request, v any) error {
 		}
 		return badRequest("bad request body: %v", err)
 	}
-	// Trailing garbage after the document is a malformed request.
-	if dec.More() {
+	// Anything after the document but whitespace is a malformed
+	// request, so only EOF may follow it (dec.More() reports false
+	// before a stray ']' or '}' and cannot tell).
+	if _, err := dec.Token(); err != io.EOF {
 		return badRequest("bad request body: trailing data after JSON document")
 	}
 	return nil
@@ -333,7 +341,7 @@ func resolveMatrix(mj *WireMatrix) (*comm.Matrix, error) {
 
 // NewWireMatrix converts a matrix to wire form.
 func NewWireMatrix(m *comm.Matrix) *WireMatrix {
-	out := &WireMatrix{N: m.N(), Messages: make([][3]int64, 0, m.MessageCount())}
+	out := &WireMatrix{N: m.N(), Messages: make(WirePhase, 0, m.MessageCount())}
 	for i := 0; i < m.N(); i++ {
 		dst, bytes := m.Row(i)
 		for k, j := range dst {

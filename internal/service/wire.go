@@ -244,6 +244,9 @@ func appendFloat(dst []byte, v float64) []byte {
 // into the binary encoding without recomputing anything.
 type wireDoc interface {
 	appendBinaryPayload(dst []byte) []byte
+	// encodeJSON renders the canonical JSON form, the bytes the cache
+	// holds and persists (see wirejson.go).
+	encodeJSON() ([]byte, error)
 }
 
 func (res *ScheduleResult) appendBinaryPayload(dst []byte) []byte {

@@ -15,9 +15,12 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"unsched/internal/comm"
+	"unsched/internal/hypercube"
+	"unsched/internal/sched"
 	"unsched/internal/service"
 )
 
@@ -80,6 +83,80 @@ func BenchmarkWireMatrixHash_4096(b *testing.B) {
 		m.ContentHash()
 	}
 }
+
+// wireBenchResult is what /v1/schedule answers for a d=8 workload on
+// an n-node cube: the RS_NL schedule plus the matrix echo.
+func wireBenchResult(b *testing.B, n int) *service.ScheduleResult {
+	b.Helper()
+	m, err := comm.DRegular(n, 8, 4096, rand.New(rand.NewSource(17)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	cube, err := hypercube.ForNodes(n)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sc, err := sched.NewCore(cube).RSNL(m, rand.New(rand.NewSource(18)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	ws := &service.WireSchedule{Algorithm: sc.Algorithm, N: sc.N, Ops: sc.Ops}
+	for _, p := range sc.Phases {
+		var phase service.WirePhase
+		for src, dst := range p.Send {
+			if dst >= 0 {
+				phase = append(phase, [3]int64{int64(src), int64(dst), p.Bytes[src]})
+			}
+		}
+		ws.Phases = append(ws.Phases, phase)
+	}
+	return &service.ScheduleResult{Chosen: "RS_NL", Topology: cube.Name(), Workload: "uniform:8:4096",
+		Matrix: service.NewWireMatrix(m), Seed: -17, LinkFree: true, Schedule: ws}
+}
+
+// benchWireDecodeSimulate times the daemon's decode of a /v1/simulate
+// body that re-ships a d=8 RS_NL schedule: the strict streaming decode
+// the handler runs, into a fresh request.
+func benchWireDecodeSimulate(b *testing.B, n int) {
+	res := wireBenchResult(b, n)
+	body, err := json.Marshal(service.SimulateRequest{Schedule: res.Schedule, Topology: &WireTopology{Spec: res.Topology}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var req service.SimulateRequest
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&req); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// benchWireEncodeSchedule times what the daemon does with a computed
+// schedule result on a JSON miss: render it, keep an exactly sized
+// copy for the cache, and splice that into the response envelope.
+func benchWireEncodeSchedule(b *testing.B, n int) {
+	res := wireBenchResult(b, n)
+	key := strings.Repeat("ab", 32)
+	var buf, env []byte
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = res.AppendJSON(buf[:0])
+		raw := bytes.Clone(buf)
+		env = (&service.Envelope{Key: key, Result: raw}).AppendJSON(env[:0])
+	}
+	b.ReportMetric(float64(len(env)), "wire_bytes")
+}
+
+func BenchmarkWireDecodeSimulateRequest_64(b *testing.B)   { benchWireDecodeSimulate(b, 64) }
+func BenchmarkWireDecodeSimulateRequest_4096(b *testing.B) { benchWireDecodeSimulate(b, 4096) }
+func BenchmarkWireEncodeScheduleResult_64(b *testing.B)    { benchWireEncodeSchedule(b, 64) }
+func BenchmarkWireEncodeScheduleResult_4096(b *testing.B)  { benchWireEncodeSchedule(b, 4096) }
 
 // wireBenchServer starts an in-process service and primes the cache
 // with one paper-scale schedule, returning the URL, the request body,
